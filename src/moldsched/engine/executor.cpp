@@ -122,7 +122,14 @@ struct Executor::Impl {
       const std::lock_guard<std::mutex> lock(queues[worker]->mutex);
       queues[worker]->tasks.push_back(std::move(task));
     }
-    queued.fetch_add(1, std::memory_order_release);
+    {
+      // The increment must happen under sleep_mutex: a worker tests
+      // `queued` under that mutex before blocking, and an unlocked
+      // increment + notify can land between its test and its block,
+      // losing the wake-up while the task sits in a deque.
+      const std::lock_guard<std::mutex> lock(sleep_mutex);
+      queued.fetch_add(1, std::memory_order_release);
+    }
     sleep_cv.notify_one();
   }
 

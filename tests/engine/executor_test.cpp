@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -141,6 +143,36 @@ TEST(ExecutorTest, ZeroCountIsANoOp) {
   bool called = false;
   pool.parallel_for(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ExecutorTest, LockstepPingPongNeverLosesAWakeup) {
+  // One worker and one client in strict lockstep: the client submits the
+  // next task only after the previous one has finished, so the worker
+  // goes back to sleep between every pair. A wake-up lost between the
+  // worker's predicate test and its block would stall the run for good,
+  // because no later submit comes to repair it.
+  constexpr int kRounds = 100000;
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  int stalled_round = -1;
+  Executor pool(1);
+  for (int i = 0; i < kRounds; ++i) {
+    pool.submit([&] {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        ++done;
+      }
+      cv.notify_one();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return done == i + 1; })) {
+      stalled_round = i;
+      break;
+    }
+  }
+  EXPECT_EQ(stalled_round, -1) << "worker slept through a queued task";
 }
 
 }  // namespace
