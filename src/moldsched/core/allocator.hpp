@@ -4,6 +4,12 @@
 // identical decisions instead of re-running the Step 1 search.
 #pragma once
 
+// Schedules and golden pins are bit-exact; -ffast-math reassociates and
+// contracts floating-point arithmetic and would silently move them.
+#ifdef __FAST_MATH__
+#error "moldsched must not be built with -ffast-math: its results are bit-exact"
+#endif
+
 #include <array>
 #include <atomic>
 #include <cstddef>

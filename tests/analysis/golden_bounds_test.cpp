@@ -16,6 +16,12 @@ namespace {
 // Tolerance for the golden pins: the values are produced by golden-
 // section search (tol 1e-12), so 1e-9 absorbs libm noise across
 // platforms while still catching any algorithmic change.
+//
+// This is a determinism pin, not an accuracy claim: over the
+// communication column's flat optimum the search resolves x* only to
+// about 1e-8, so contracting a*b+c into an FMA moves x* by ~3e-9 and
+// trips this pin. Keep the build pinned (-ffp-contract=off on the
+// library) rather than widening the tolerance.
 constexpr double kGoldenTol = 1e-9;
 // Tolerance against the rounded values printed in the paper.
 constexpr double kPaperTol = 1e-2;
