@@ -1,12 +1,9 @@
 #include "moldsched/core/online_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 
-#include "moldsched/graph/algorithms.hpp"
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
+#include "moldsched/core/list_engine.hpp"
+#include "moldsched/graph/passes.hpp"
 
 namespace moldsched::core {
 
@@ -21,180 +18,80 @@ OnlineScheduler::OnlineScheduler(const graph::TaskGraph& g, int P,
 
 namespace {
 
-struct QueueEntry {
-  graph::TaskId task;
-  int alloc;           // final allocation, denormalized off ScheduleResult
-  double key;          // priority key; larger first
-  std::uint64_t seq;   // reveal order; lower first among equal keys
+/// Reports every scheduling decision to an attached observer, and the
+/// Lemma areas at the end. A separate hook type, so unobserved runs
+/// carry no instrumentation at all.
+struct ObserverHooks : CountHooks {
+  ObserverHooks(const graph::TaskGraph& graph, int P, const Allocator& alloc,
+                obs::Observer& obs, const std::vector<double>& ready)
+      : CountHooks(P),
+        g(graph),
+        observer(obs),
+        ready_time(ready),
+        layer_of(graph::passes::topological_layers(graph).layer_of),
+        start_time(static_cast<std::size_t>(graph.num_tasks()), 0.0) {
+    if (const auto* lpa = dynamic_cast<const LpaAllocator*>(&alloc))
+      alloc_cap = lpa->cap(P);
+  }
+
+  [[nodiscard]] obs::Observer* event_observer() const { return &observer; }
+
+  void on_ready(graph::TaskId task, double now, int alloc,
+                std::size_t queue_size) {
+    observer.on_task_ready(task, g.name(task), now, alloc, alloc_cap,
+                           queue_size);
+  }
+
+  void on_start(graph::TaskId task, double now, int alloc,
+                std::size_t queue_size) {
+    const auto t = static_cast<std::size_t>(task);
+    const double waited = now - ready_time[t];
+    start_time[t] = now;
+    procs_in_use += alloc;
+    waiting_area += static_cast<double>(alloc) * waited;
+    observer.on_task_start(task, g.name(task), g.model_of(task).describe(),
+                           now, alloc, waited, layer_of[t], queue_size,
+                           procs_in_use);
+  }
+
+  bool on_end(graph::TaskId task, double now, int alloc,
+              std::size_t queue_size) {
+    const double exec_time = now - start_time[static_cast<std::size_t>(task)];
+    procs_in_use -= alloc;
+    executing_area += static_cast<double>(alloc) * exec_time;
+    observer.on_task_end(task, now, alloc, exec_time, queue_size,
+                         procs_in_use);
+    return true;
+  }
+
+  const graph::TaskGraph& g;
+  obs::Observer& observer;
+  const std::vector<double>& ready_time;
+  int alloc_cap = -1;          // LPA mu-threshold ceil(mu P), if any
+  std::vector<int> layer_of;   // hop depth per task (0 = source)
+  std::vector<double> start_time;
+  int procs_in_use = 0;
+  double waiting_area = 0.0;    // sum of alloc * (start - ready)
+  double executing_area = 0.0;  // sum of alloc * exec_time
 };
 
 }  // namespace
 
 ScheduleResult OnlineScheduler::run() const {
-  const int n = graph_.num_tasks();
-  ScheduleResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.ready_time.assign(static_cast<std::size_t>(n), -1.0);
-
-  sim::EventQueue events;
-  events.reserve(static_cast<std::size_t>(std::min(n, P_)));
-  sim::Platform platform(P_);
-  std::vector<int> pending_preds(static_cast<std::size_t>(n));
-  for (graph::TaskId v = 0; v < n; ++v)
-    pending_preds[static_cast<std::size_t>(v)] = graph_.in_degree(v);
-
-  std::vector<QueueEntry> queue;  // waiting queue Q, kept in service order
-  std::uint64_t reveal_seq = 0;
-  // Smallest allocation among queued tasks: when it exceeds the idle
-  // processor count, no queued task can start and the Algorithm 1 queue
-  // scan is provably a no-op, so try_start_all skips it outright. The
-  // value is exact after every scan (recomputed in-pass) and only ever
-  // an under-estimate between scans (reveals lower it), so skipping is
-  // behavior-identical to scanning.
-  int min_waiting_alloc = P_ + 1;
-
-  // Instrumentation state, touched only when an observer is attached so
-  // unobserved runs pay a single pointer check per decision.
-  int alloc_cap = -1;          // LPA mu-threshold ceil(mu P), if any
-  std::vector<int> layers;     // hop depth per task (0 = source)
-  std::vector<double> start_time;
-  int procs_in_use = 0;
-  double waiting_area = 0.0;    // sum of alloc * (start - ready)
-  double executing_area = 0.0;  // sum of alloc * exec_time
-  if (observer_ != nullptr) {
-    events.set_observer(observer_);
-    if (const auto* lpa = dynamic_cast<const LpaAllocator*>(&allocator_))
-      alloc_cap = lpa->cap(P_);
-    const std::vector<double> hops(static_cast<std::size_t>(n), 1.0);
-    const std::vector<double> tops = graph::top_levels(graph_, hops);
-    layers.reserve(static_cast<std::size_t>(n));
-    for (const double t : tops) layers.push_back(static_cast<int>(t + 0.5));
-    start_time.assign(static_cast<std::size_t>(n), 0.0);
+  ListEngine engine({.graph = graph_,
+                     .P = P_,
+                     .who = "OnlineScheduler",
+                     .allocator = &allocator_,
+                     .policy = policy_});
+  if (observer_ == nullptr) {
+    CountHooks hooks(P_);
+    return engine.run(hooks);
   }
-
-  auto reveal = [&](graph::TaskId task, double now) {
-    const int alloc = allocator_.allocate(graph_.model_of(task), P_);
-    if (alloc < 1 || alloc > P_)
-      throw std::logic_error("OnlineScheduler: allocator returned " +
-                             std::to_string(alloc) + " for task " +
-                             graph_.name(task) + ", outside [1, " +
-                             std::to_string(P_) + "]");
-    result.allocation[static_cast<std::size_t>(task)] = alloc;
-    result.ready_time[static_cast<std::size_t>(task)] = now;
-
-    const QueueEntry entry{
-        task, alloc, priority_key(policy_, graph_.model_of(task), alloc, P_),
-        reveal_seq++};
-    min_waiting_alloc = std::min(min_waiting_alloc, alloc);
-    switch (policy_) {
-      case QueuePolicy::kFifo:
-        queue.push_back(entry);
-        break;
-      case QueuePolicy::kLifo:
-        queue.insert(queue.begin(), entry);
-        break;
-      default: {
-        // Stable descending order by key: insert before the first entry
-        // with a strictly smaller key.
-        auto it = std::find_if(queue.begin(), queue.end(),
-                               [&](const QueueEntry& e) {
-                                 return e.key < entry.key;
-                               });
-        queue.insert(it, entry);
-        break;
-      }
-    }
-    if (observer_ != nullptr)
-      observer_->on_task_ready(task, graph_.name(task), now, alloc, alloc_cap,
-                               queue.size());
-  };
-
-  auto try_start_all = [&](double now) {
-    // Fast path: nothing waiting, or even the smallest waiting
-    // allocation exceeds the idle processors — the scan cannot start
-    // anything, so skip it (amortized O(1) per event when saturated).
-    if (queue.empty() || min_waiting_alloc > platform.available()) return;
-    min_waiting_alloc = P_ + 1;
-    // Algorithm 1, lines 7-11: scan the whole queue; start every task
-    // that fits on the idle processors. platform.available() only
-    // shrinks during the pass, so entries skipped earlier stay
-    // unstartable and one pass both starts everything startable and
-    // recomputes the exact minimum over the survivors.
-    auto it = queue.begin();
-    while (it != queue.end()) {
-      const graph::TaskId task = it->task;
-      const int alloc = it->alloc;
-      if (alloc <= platform.available()) {
-        platform.acquire(alloc);
-        result.trace.record_start(task, now, alloc);
-        events.schedule(now + graph_.model_of(task).time(alloc), task);
-        it = queue.erase(it);
-        if (observer_ != nullptr) {
-          const auto t = static_cast<std::size_t>(task);
-          const double waited = now - result.ready_time[t];
-          start_time[t] = now;
-          procs_in_use += alloc;
-          waiting_area += static_cast<double>(alloc) * waited;
-          observer_->on_task_start(task, graph_.name(task),
-                                   graph_.model_of(task).describe(), now,
-                                   alloc, waited, layers[t], queue.size(),
-                                   procs_in_use);
-        }
-      } else {
-        min_waiting_alloc = std::min(min_waiting_alloc, alloc);
-        ++it;
-      }
-    }
-  };
-
-  // Time 0: sources become available in id order.
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (pending_preds[static_cast<std::size_t>(v)] == 0) reveal(v, 0.0);
-  try_start_all(0.0);
-
-  std::vector<sim::Event> batch;        // reused across iterations
-  std::vector<graph::TaskId> newly_ready;
-  while (!events.empty()) {
-    events.pop_simultaneous_into(batch);
-    const double now = events.now();
-    result.num_events += batch.size();
-
-    newly_ready.clear();
-    for (const auto& ev : batch) {
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      result.trace.record_end(task, now);
-      const int alloc = result.allocation[static_cast<std::size_t>(task)];
-      platform.release(alloc);
-      if (observer_ != nullptr) {
-        const auto t = static_cast<std::size_t>(task);
-        const double exec_time = now - start_time[t];
-        procs_in_use -= alloc;
-        executing_area += static_cast<double>(alloc) * exec_time;
-        observer_->on_task_end(task, now, alloc, exec_time, queue.size(),
-                               procs_in_use);
-      }
-      for (const graph::TaskId s : graph_.successors(task))
-        if (--pending_preds[static_cast<std::size_t>(s)] == 0)
-          newly_ready.push_back(s);
-    }
-    // Reveal simultaneously available tasks in id order: deterministic,
-    // and it realizes the adversarial instances' worst-case queueing.
-    std::sort(newly_ready.begin(), newly_ready.end());
-    for (const graph::TaskId v : newly_ready) reveal(v, now);
-
-    try_start_all(now);
-  }
-
-  if (!queue.empty())
-    throw std::logic_error(
-        "OnlineScheduler: deadlock — waiting tasks but no pending events");
-  if (result.trace.num_records() != static_cast<std::size_t>(n))
-    throw std::logic_error("OnlineScheduler: not every task was scheduled");
-
-  result.makespan = result.trace.makespan();
-  if (observer_ != nullptr)
-    observer_->on_sim_done(result.makespan, waiting_area, executing_area,
-                           result.num_events);
+  ObserverHooks hooks(graph_, P_, allocator_, *observer_,
+                      engine.ready_time());
+  ScheduleResult result = engine.run(hooks);
+  observer_->on_sim_done(result.makespan, hooks.waiting_area,
+                         hooks.executing_area, result.num_events);
   return result;
 }
 

@@ -471,6 +471,8 @@ void check_instance(const graph::TaskGraph& g, int P, int max_tasks,
 
 }  // namespace
 
+// Not a core::ListEngine client: a search over decision sequences that
+// replays its own partial schedules, not a list scheduler.
 BnbResult branch_and_bound_topt(const graph::TaskGraph& g, int P,
                                 const BnbOptions& options) {
   check_instance(g, P, options.max_tasks, options.max_procs,

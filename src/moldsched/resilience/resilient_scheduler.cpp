@@ -4,8 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
+#include "moldsched/core/list_engine.hpp"
 
 namespace moldsched::resilience {
 
@@ -28,135 +27,68 @@ ResilientOnlineScheduler::ResilientOnlineScheduler(
 
 namespace {
 
-struct QueueEntry {
-  graph::TaskId task;
-  double key;
-  std::uint64_t seq;
+/// Re-execution: every run is an Attempt; a failed attempt sends its
+/// task back into the queue with the same allocation, and only a
+/// successful one releases successors. Failures are drawn in batch
+/// order from one seeded stream.
+struct RetryHooks : core::CountHooks {
+  static constexpr bool kRecordTrace = false;
+
+  RetryHooks(int P, int n, const FailureModel& f, std::uint64_t seed,
+             ResilientResult& r)
+      : CountHooks(P),
+        failures(f),
+        rng(seed),
+        result(r),
+        running(static_cast<std::size_t>(n), -1) {}
+
+  void on_start(graph::TaskId task, double now, int alloc,
+                std::size_t /*queue_size*/) {
+    Attempt attempt;
+    attempt.task = task;
+    attempt.attempt =
+        ++result.attempts_per_task[static_cast<std::size_t>(task)];
+    attempt.start = now;
+    attempt.procs = alloc;
+    running[static_cast<std::size_t>(task)] =
+        static_cast<std::int64_t>(result.attempts.size());
+    result.attempts.push_back(attempt);
+  }
+
+  bool on_end(graph::TaskId task, double now, int /*alloc*/,
+              std::size_t /*queue_size*/) {
+    auto& attempt = result.attempts[static_cast<std::size_t>(
+        running[static_cast<std::size_t>(task)])];
+    attempt.end = now;
+    running[static_cast<std::size_t>(task)] = -1;
+    const double duration = attempt.end - attempt.start;
+    attempt.failed = failures.attempt_fails(duration, attempt.procs, rng);
+    const double area = duration * static_cast<double>(attempt.procs);
+    result.total_area += area;
+    if (attempt.failed) result.wasted_area += area;
+    return !attempt.failed;
+  }
+
+  const FailureModel& failures;
+  util::Rng rng;
+  ResilientResult& result;
+  // Index into result.attempts of the running attempt per task.
+  std::vector<std::int64_t> running;
 };
 
 }  // namespace
 
 ResilientResult ResilientOnlineScheduler::run() const {
-  const int n = graph_.num_tasks();
   ResilientResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.attempts_per_task.assign(static_cast<std::size_t>(n), 0);
-
-  util::Rng rng(seed_);
-  sim::EventQueue events;
-  sim::Platform platform(P_);
-  std::vector<int> pending_preds(static_cast<std::size_t>(n));
-  for (graph::TaskId v = 0; v < n; ++v)
-    pending_preds[static_cast<std::size_t>(v)] = graph_.in_degree(v);
-
-  std::vector<QueueEntry> queue;
-  std::uint64_t seq = 0;
-  // Index into result.attempts of the currently running attempt per task.
-  std::vector<std::int64_t> running(static_cast<std::size_t>(n), -1);
-
-  auto enqueue = [&](graph::TaskId task) {
-    const QueueEntry entry{
-        task,
-        priority_key(policy_, graph_.model_of(task),
-                     result.allocation[static_cast<std::size_t>(task)], P_),
-        seq++};
-    switch (policy_) {
-      case core::QueuePolicy::kFifo:
-        queue.push_back(entry);
-        break;
-      case core::QueuePolicy::kLifo:
-        queue.insert(queue.begin(), entry);
-        break;
-      default: {
-        auto it = std::find_if(
-            queue.begin(), queue.end(),
-            [&](const QueueEntry& e) { return e.key < entry.key; });
-        queue.insert(it, entry);
-        break;
-      }
-    }
-  };
-
-  auto reveal = [&](graph::TaskId task) {
-    const int alloc = allocator_.allocate(graph_.model_of(task), P_);
-    if (alloc < 1 || alloc > P_)
-      throw std::logic_error(
-          "ResilientOnlineScheduler: allocation outside [1, P] for task " +
-          graph_.name(task));
-    result.allocation[static_cast<std::size_t>(task)] = alloc;
-    enqueue(task);
-  };
-
-  auto try_start_all = [&](double now) {
-    auto it = queue.begin();
-    while (it != queue.end()) {
-      const graph::TaskId task = it->task;
-      const int alloc = result.allocation[static_cast<std::size_t>(task)];
-      if (alloc <= platform.available()) {
-        platform.acquire(alloc);
-        Attempt attempt;
-        attempt.task = task;
-        attempt.attempt = ++result.attempts_per_task[
-            static_cast<std::size_t>(task)];
-        attempt.start = now;
-        attempt.procs = alloc;
-        running[static_cast<std::size_t>(task)] =
-            static_cast<std::int64_t>(result.attempts.size());
-        result.attempts.push_back(attempt);
-        events.schedule(now + graph_.model_of(task).time(alloc), task);
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (pending_preds[static_cast<std::size_t>(v)] == 0) reveal(v);
-  try_start_all(0.0);
-
-  while (!events.empty()) {
-    const auto batch = events.pop_simultaneous();
-    const double now = events.now();
-
-    std::vector<graph::TaskId> newly_ready;
-    std::vector<graph::TaskId> retries;
-    for (const auto& ev : batch) {
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      auto& attempt = result.attempts[static_cast<std::size_t>(
-          running[static_cast<std::size_t>(task)])];
-      attempt.end = now;
-      running[static_cast<std::size_t>(task)] = -1;
-      platform.release(attempt.procs);
-
-      const double duration = attempt.end - attempt.start;
-      attempt.failed = failures_->attempt_fails(duration, attempt.procs, rng);
-      const double area = duration * static_cast<double>(attempt.procs);
-      result.total_area += area;
-      if (attempt.failed) {
-        result.wasted_area += area;
-        retries.push_back(task);
-      } else {
-        for (const graph::TaskId s : graph_.successors(task))
-          if (--pending_preds[static_cast<std::size_t>(s)] == 0)
-            newly_ready.push_back(s);
-      }
-    }
-    // Retries keep their allocation and re-enter the queue first (they
-    // are "older" work); new reveals follow in id order.
-    for (const graph::TaskId t : retries) enqueue(t);
-    std::sort(newly_ready.begin(), newly_ready.end());
-    for (const graph::TaskId v : newly_ready) reveal(v);
-
-    try_start_all(now);
-  }
-
-  if (!queue.empty())
-    throw std::logic_error("ResilientOnlineScheduler: deadlock");
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (result.attempts_per_task[static_cast<std::size_t>(v)] == 0)
-      throw std::logic_error(
-          "ResilientOnlineScheduler: task never executed: " + graph_.name(v));
+  result.attempts_per_task.assign(
+      static_cast<std::size_t>(graph_.num_tasks()), 0);
+  core::ListEngine engine({.graph = graph_,
+                           .P = P_,
+                           .who = "ResilientOnlineScheduler",
+                           .allocator = &allocator_,
+                           .policy = policy_});
+  RetryHooks hooks(P_, graph_.num_tasks(), *failures_, seed_, result);
+  result.allocation = engine.run(hooks).allocation;
 
   double makespan = 0.0;
   for (const auto& a : result.attempts) makespan = std::max(makespan, a.end);

@@ -1,14 +1,11 @@
 #include "moldsched/sched/backfill_scheduler.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
+#include "moldsched/core/list_engine.hpp"
 
 namespace moldsched::sched {
 
@@ -20,6 +17,72 @@ struct RunningTask {
   int procs;
 };
 
+/// EASY backfilling as a scan admission rule over a FIFO queue: the
+/// queue head starts while it fits; the first head that does not fit
+/// gets a reservation, and later entries may start only if they cannot
+/// delay it.
+struct EasyBackfillHooks : core::CountHooks {
+  EasyBackfillHooks(const graph::TaskGraph& graph, int P)
+      : CountHooks(P), g(graph) {}
+
+  void begin_scan(double /*now*/) { head_blocked = false; }
+
+  bool admit(const core::WaitingEntry& e, bool fits, double now) {
+    if (!head_blocked) {
+      if (fits) return true;
+      head_blocked = true;
+      reserve_for(e.alloc);
+      return false;
+    }
+    // Backfill: start iff it fits and either finishes by the
+    // reservation or fits into the reservation-time slack.
+    return fits &&
+           (now + g.model_of(e.task).time(e.alloc) <= reservation + 1e-12 ||
+            e.alloc <= extra);
+  }
+
+  // The earliest running completion by which enough processors are
+  // free for the blocked head, plus the slack processors at that
+  // instant beyond the head's need.
+  void reserve_for(int head_alloc) {
+    by_finish = running;
+    std::sort(by_finish.begin(), by_finish.end(),
+              [](const RunningTask& a, const RunningTask& b) {
+                return a.finish < b.finish;
+              });
+    int free_then = available();
+    reservation = std::numeric_limits<double>::infinity();
+    for (const auto& r : by_finish) {
+      free_then += r.procs;
+      if (free_then >= head_alloc) {
+        reservation = r.finish;
+        break;
+      }
+    }
+    extra = free_then - head_alloc;
+  }
+
+  void on_start(graph::TaskId task, double now, int alloc,
+                std::size_t /*queue_size*/) {
+    running.push_back({task, now + g.model_of(task).time(alloc), alloc});
+  }
+
+  bool on_end(graph::TaskId task, double /*now*/, int /*alloc*/,
+              std::size_t /*queue_size*/) {
+    running.erase(std::find_if(
+        running.begin(), running.end(),
+        [&](const RunningTask& r) { return r.task == task; }));
+    return true;
+  }
+
+  const graph::TaskGraph& g;
+  std::vector<RunningTask> running;  // in start order
+  std::vector<RunningTask> by_finish;
+  bool head_blocked = false;
+  double reservation = 0.0;
+  int extra = 0;
+};
+
 }  // namespace
 
 core::ScheduleResult schedule_online_backfill(const graph::TaskGraph& g,
@@ -28,122 +91,12 @@ core::ScheduleResult schedule_online_backfill(const graph::TaskGraph& g,
   if (P < 1)
     throw std::invalid_argument("schedule_online_backfill: P must be >= 1");
   g.validate();
-  const int n = g.num_tasks();
-
-  core::ScheduleResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.ready_time.assign(static_cast<std::size_t>(n), -1.0);
-
-  sim::EventQueue events;
-  sim::Platform platform(P);
-  std::vector<int> pending(static_cast<std::size_t>(n));
-  for (graph::TaskId v = 0; v < n; ++v)
-    pending[static_cast<std::size_t>(v)] = g.in_degree(v);
-
-  std::deque<graph::TaskId> queue;  // FIFO reveal order
-  std::vector<RunningTask> running;
-
-  auto reveal = [&](graph::TaskId task, double now) {
-    const int a = alloc.allocate(g.model_of(task), P);
-    if (a < 1 || a > P)
-      throw std::logic_error(
-          "schedule_online_backfill: allocation outside [1, P] for " +
-          g.name(task));
-    result.allocation[static_cast<std::size_t>(task)] = a;
-    result.ready_time[static_cast<std::size_t>(task)] = now;
-    queue.push_back(task);
-  };
-
-  auto start = [&](graph::TaskId task, double now) {
-    const int a = result.allocation[static_cast<std::size_t>(task)];
-    platform.acquire(a);
-    result.trace.record_start(task, now, a);
-    const double finish = now + g.model_of(task).time(a);
-    running.push_back({task, finish, a});
-    events.schedule(finish, task);
-  };
-
-  auto schedule_round = [&](double now) {
-    // 1. Start the queue head while it fits.
-    while (!queue.empty()) {
-      const graph::TaskId head = queue.front();
-      if (result.allocation[static_cast<std::size_t>(head)] >
-          platform.available())
-        break;
-      start(head, now);
-      queue.pop_front();
-    }
-    if (queue.empty()) return;
-
-    // 2. EASY reservation for the (blocked) head: the earliest running
-    // completion by which enough processors are free, plus the slack
-    // processors at that instant beyond the head's need.
-    const int head_alloc =
-        result.allocation[static_cast<std::size_t>(queue.front())];
-    auto by_finish = running;
-    std::sort(by_finish.begin(), by_finish.end(),
-              [](const RunningTask& a, const RunningTask& b) {
-                return a.finish < b.finish;
-              });
-    int free_then = platform.available();
-    double reservation = std::numeric_limits<double>::infinity();
-    for (const auto& r : by_finish) {
-      free_then += r.procs;
-      if (free_then >= head_alloc) {
-        reservation = r.finish;
-        break;
-      }
-    }
-    const int extra = free_then - head_alloc;  // slack at the reservation
-
-    // 3. Backfill: later entries may start now iff they fit and cannot
-    // delay the reservation — they either finish by it or fit into the
-    // reservation-time slack.
-    for (auto it = std::next(queue.begin()); it != queue.end();) {
-      const graph::TaskId task = *it;
-      const int a = result.allocation[static_cast<std::size_t>(task)];
-      if (a <= platform.available()) {
-        const double finish = now + g.model_of(task).time(a);
-        if (finish <= reservation + 1e-12 || a <= extra) {
-          start(task, now);
-          it = queue.erase(it);
-          continue;
-        }
-      }
-      ++it;
-    }
-  };
-
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (pending[static_cast<std::size_t>(v)] == 0) reveal(v, 0.0);
-  schedule_round(0.0);
-
-  while (!events.empty()) {
-    const auto batch = events.pop_simultaneous();
-    const double now = events.now();
-    result.num_events += batch.size();
-    std::vector<graph::TaskId> newly_ready;
-    for (const auto& ev : batch) {
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      result.trace.record_end(task, now);
-      platform.release(result.allocation[static_cast<std::size_t>(task)]);
-      running.erase(std::find_if(running.begin(), running.end(),
-                                 [&](const RunningTask& r) {
-                                   return r.task == task;
-                                 }));
-      for (const graph::TaskId s : g.successors(task))
-        if (--pending[static_cast<std::size_t>(s)] == 0)
-          newly_ready.push_back(s);
-    }
-    std::sort(newly_ready.begin(), newly_ready.end());
-    for (const graph::TaskId v : newly_ready) reveal(v, now);
-    schedule_round(now);
-  }
-
-  if (!queue.empty())
-    throw std::logic_error("schedule_online_backfill: deadlock");
-  result.makespan = result.trace.makespan();
-  return result;
+  core::ListEngine engine({.graph = g,
+                           .P = P,
+                           .who = "schedule_online_backfill",
+                           .allocator = &alloc});
+  EasyBackfillHooks hooks(g, P);
+  return engine.run(hooks);
 }
 
 }  // namespace moldsched::sched

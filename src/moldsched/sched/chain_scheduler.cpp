@@ -25,6 +25,9 @@ EqualAllocationChainScheduler::EqualAllocationChainScheduler(
         std::to_string(kMaxSimK) + "] for simulation");
 }
 
+// Not a core::ListEngine client: there is no DAG to reveal and Algorithm
+// 2 is not used. The adversary's policy splits the processors in equal
+// shares over the live chains, and the loop below simulates exactly that.
 ChainsSimResult EqualAllocationChainScheduler::run() const {
   const std::int64_t n = inst_.num_chains;
   const std::int64_t P = inst_.P;

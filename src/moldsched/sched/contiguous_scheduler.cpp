@@ -1,23 +1,71 @@
 #include "moldsched/sched/contiguous_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 
+#include "moldsched/core/list_engine.hpp"
 #include "moldsched/sim/block_platform.hpp"
-#include "moldsched/sim/event_queue.hpp"
 
 namespace moldsched::sched {
 
 namespace {
 
-struct QueueEntry {
-  graph::TaskId task;
-  double key;
-  std::uint64_t seq;
-  /// Instant the entry last failed to start only because no contiguous
-  /// block was free (fragmentation); -1 when not in that state.
-  double frag_since = -1.0;
+/// First-fit contiguous placement, with the fragmentation-wait
+/// bookkeeping: the time a task spends ready with enough processors by
+/// count but no contiguous block free.
+struct BlockHooks : core::ListHooks {
+  BlockHooks(int P, int n)
+      : platform(P),
+        first_processor(static_cast<std::size_t>(n), -1),
+        frag_since(static_cast<std::size_t>(n), -1.0) {}
+
+  [[nodiscard]] int available() const noexcept {
+    return platform.available();
+  }
+  // A scan in which nothing fits still closes open fragmentation
+  // episodes, so it may be skipped only when none is open.
+  [[nodiscard]] bool may_skip_scan() const noexcept {
+    return open_episodes == 0;
+  }
+
+  bool place(graph::TaskId task, int alloc, double now) {
+    const auto t = static_cast<std::size_t>(task);
+    const int lo = platform.acquire_block(alloc);
+    if (lo < 0) {
+      // Enough processors by count but no contiguous block: this wait
+      // is pure fragmentation.
+      if (frag_since[t] < 0.0) {
+        frag_since[t] = now;
+        ++open_episodes;
+      }
+      return false;
+    }
+    close_episode(t, now);
+    first_processor[t] = lo;
+    return true;
+  }
+
+  // By-count shortage resumed; close the fragmentation episode.
+  void blocked(graph::TaskId task, double now) {
+    close_episode(static_cast<std::size_t>(task), now);
+  }
+
+  void release(graph::TaskId task, int alloc) {
+    platform.release_block(first_processor[static_cast<std::size_t>(task)],
+                           alloc);
+  }
+
+  void close_episode(std::size_t t, double now) {
+    if (frag_since[t] < 0.0) return;
+    fragmentation_wait += now - frag_since[t];
+    frag_since[t] = -1.0;
+    --open_episodes;
+  }
+
+  sim::BlockPlatform platform;
+  std::vector<int> first_processor;
+  std::vector<double> frag_since;  // -1 when not in an episode
+  int open_episodes = 0;
+  double fragmentation_wait = 0.0;
 };
 
 }  // namespace
@@ -30,103 +78,16 @@ ContiguousScheduleResult schedule_online_contiguous(
         "schedule_online_contiguous: P must be >= 1");
   g.validate();
 
-  const int n = g.num_tasks();
+  core::ListEngine engine({.graph = g,
+                           .P = P,
+                           .who = "schedule_online_contiguous",
+                           .allocator = &alloc,
+                           .policy = policy});
+  BlockHooks hooks(P, g.num_tasks());
   ContiguousScheduleResult result;
-  result.base.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.base.ready_time.assign(static_cast<std::size_t>(n), -1.0);
-  result.first_processor.assign(static_cast<std::size_t>(n), -1);
-
-  sim::EventQueue events;
-  sim::BlockPlatform platform(P);
-  std::vector<int> pending(static_cast<std::size_t>(n));
-  for (graph::TaskId v = 0; v < n; ++v)
-    pending[static_cast<std::size_t>(v)] = g.in_degree(v);
-
-  std::vector<QueueEntry> queue;
-  std::uint64_t seq = 0;
-
-  auto reveal = [&](graph::TaskId task, double now) {
-    const int a = alloc.allocate(g.model_of(task), P);
-    if (a < 1 || a > P)
-      throw std::logic_error(
-          "schedule_online_contiguous: allocation outside [1, P] for " +
-          g.name(task));
-    result.base.allocation[static_cast<std::size_t>(task)] = a;
-    result.base.ready_time[static_cast<std::size_t>(task)] = now;
-    const QueueEntry entry{task, priority_key(policy, g.model_of(task), a, P),
-                           seq++, -1.0};
-    switch (policy) {
-      case core::QueuePolicy::kFifo:
-        queue.push_back(entry);
-        break;
-      case core::QueuePolicy::kLifo:
-        queue.insert(queue.begin(), entry);
-        break;
-      default: {
-        auto it = std::find_if(
-            queue.begin(), queue.end(),
-            [&](const QueueEntry& e) { return e.key < entry.key; });
-        queue.insert(it, entry);
-        break;
-      }
-    }
-  };
-
-  auto try_start_all = [&](double now) {
-    auto it = queue.begin();
-    while (it != queue.end()) {
-      const graph::TaskId task = it->task;
-      const int a = result.base.allocation[static_cast<std::size_t>(task)];
-      if (a <= platform.available()) {
-        const int lo = platform.acquire_block(a);
-        if (lo >= 0) {
-          if (it->frag_since >= 0.0)
-            result.fragmentation_wait += now - it->frag_since;
-          result.first_processor[static_cast<std::size_t>(task)] = lo;
-          result.base.trace.record_start(task, now, a);
-          events.schedule(now + g.model_of(task).time(a), task);
-          it = queue.erase(it);
-          continue;
-        }
-        // Enough processors by count but no contiguous block: this wait
-        // is pure fragmentation.
-        if (it->frag_since < 0.0) it->frag_since = now;
-      } else if (it->frag_since >= 0.0) {
-        // By-count shortage resumed; close the fragmentation episode.
-        result.fragmentation_wait += now - it->frag_since;
-        it->frag_since = -1.0;
-      }
-      ++it;
-    }
-  };
-
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (pending[static_cast<std::size_t>(v)] == 0) reveal(v, 0.0);
-  try_start_all(0.0);
-
-  while (!events.empty()) {
-    const auto batch = events.pop_simultaneous();
-    const double now = events.now();
-    result.base.num_events += batch.size();
-    std::vector<graph::TaskId> newly_ready;
-    for (const auto& ev : batch) {
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      result.base.trace.record_end(task, now);
-      platform.release_block(
-          result.first_processor[static_cast<std::size_t>(task)],
-          result.base.allocation[static_cast<std::size_t>(task)]);
-      for (const graph::TaskId s : g.successors(task))
-        if (--pending[static_cast<std::size_t>(s)] == 0)
-          newly_ready.push_back(s);
-    }
-    std::sort(newly_ready.begin(), newly_ready.end());
-    for (const graph::TaskId v : newly_ready) reveal(v, now);
-    try_start_all(now);
-  }
-
-  if (!queue.empty())
-    throw std::logic_error("schedule_online_contiguous: deadlock");
-  result.base.makespan = result.base.trace.makespan();
+  result.base = engine.run(hooks);
+  result.first_processor = std::move(hooks.first_processor);
+  result.fragmentation_wait = hooks.fragmentation_wait;
   return result;
 }
 

@@ -11,6 +11,8 @@
 
 namespace moldsched::sched {
 
+// Not a core::ListEngine client: an exact search over allocations and
+// orders, not a list scheduler.
 ExactScheduler::ExactScheduler(const graph::TaskGraph& g, int P,
                                int max_tasks, int max_procs)
     : graph_(g), P_(P) {

@@ -1,93 +1,70 @@
 #include "moldsched/sched/level_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 
-#include "moldsched/graph/algorithms.hpp"
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
+#include "moldsched/core/list_engine.hpp"
+#include "moldsched/graph/passes.hpp"
 
 namespace moldsched::sched {
+
+namespace {
+
+/// Arrivals by level: level 0 (the sources) at time 0, level k+1 in id
+/// order at the instant the last task of level k completes.
+struct LevelBarrierHooks : core::CountHooks {
+  static constexpr bool kReleaseSuccessors = false;
+
+  LevelBarrierHooks(int P, const graph::passes::Layering& l,
+                    std::vector<double>& finish)
+      : CountHooks(P),
+        layers(l),
+        level_finish(finish),
+        remaining(layers.layer(0).size()) {}
+
+  bool on_end(graph::TaskId, double, int, std::size_t) {
+    --remaining;
+    return true;
+  }
+
+  void after_batch(double now, std::vector<graph::TaskId>& ready) {
+    if (remaining != 0) return;
+    level_finish.push_back(now);
+    if (++level == layers.num_layers()) return;
+    const auto next = layers.layer(level);
+    ready.insert(ready.end(), next.begin(), next.end());
+    remaining = next.size();
+  }
+
+  const graph::passes::Layering& layers;
+  std::vector<double>& level_finish;
+  int level = 0;
+  std::size_t remaining;  // unfinished tasks of the current level
+};
+
+}  // namespace
 
 LevelScheduleResult schedule_level_by_level(const graph::TaskGraph& g, int P,
                                             const core::Allocator& alloc) {
   if (P < 1)
     throw std::invalid_argument("schedule_level_by_level: P must be >= 1");
   g.validate();
-  const int n = g.num_tasks();
 
   LevelScheduleResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.level_of.assign(static_cast<std::size_t>(n), 0);
-
   // Level = longest hop distance from a source.
-  const std::vector<double> unit(static_cast<std::size_t>(n), 1.0);
-  const auto top = graph::top_levels(g, unit);
-  int num_levels = 0;
-  for (graph::TaskId v = 0; v < n; ++v) {
-    const int level = static_cast<int>(top[static_cast<std::size_t>(v)] + 0.5);
-    result.level_of[static_cast<std::size_t>(v)] = level;
-    num_levels = std::max(num_levels, level + 1);
-  }
-  std::vector<std::vector<graph::TaskId>> levels(
-      static_cast<std::size_t>(num_levels));
-  for (graph::TaskId v = 0; v < n; ++v)
-    levels[static_cast<std::size_t>(
-               result.level_of[static_cast<std::size_t>(v)])]
-        .push_back(v);
+  const graph::passes::Layering layers = graph::passes::topological_layers(g);
+  result.level_of = layers.layer_of;
 
-  for (graph::TaskId v = 0; v < n; ++v) {
-    const int a = alloc.allocate(g.model_of(v), P);
-    if (a < 1 || a > P)
-      throw std::logic_error(
-          "schedule_level_by_level: allocation outside [1, P] for " +
-          g.name(v));
-    result.allocation[static_cast<std::size_t>(v)] = a;
-  }
-
-  double barrier = 0.0;
-  result.level_finish.reserve(static_cast<std::size_t>(num_levels));
-  for (const auto& level : levels) {
-    // Greedy list schedule of independent tasks, starting at `barrier`.
-    sim::EventQueue events;
-    sim::Platform platform(P);
-    std::vector<graph::TaskId> waiting = level;  // id order
-    auto try_start = [&](double now) {
-      auto it = waiting.begin();
-      while (it != waiting.end()) {
-        const int a = result.allocation[static_cast<std::size_t>(*it)];
-        if (a <= platform.available()) {
-          platform.acquire(a);
-          result.trace.record_start(*it, now, a);
-          events.schedule(now + g.model_of(*it).time(a), *it);
-          it = waiting.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    // EventQueue times are absolute; seed it past the barrier.
-    try_start(barrier);
-    double level_end = barrier;
-    while (!events.empty()) {
-      const auto batch = events.pop_simultaneous();
-      const double now = events.now();
-      level_end = now;
-      for (const auto& ev : batch) {
-        const auto task = static_cast<graph::TaskId>(ev.payload);
-        result.trace.record_end(task, now);
-        platform.release(result.allocation[static_cast<std::size_t>(task)]);
-      }
-      try_start(now);
-    }
-    if (!waiting.empty())
-      throw std::logic_error("schedule_level_by_level: deadlock in level");
-    barrier = level_end;
-    result.level_finish.push_back(level_end);
-  }
-
-  result.makespan = result.trace.makespan();
+  // Greedy list scheduling inside each level, FIFO in id order.
+  core::ListEngine engine({.graph = g,
+                           .P = P,
+                           .who = "schedule_level_by_level",
+                           .allocator = &alloc});
+  result.level_finish.reserve(static_cast<std::size_t>(layers.num_layers()));
+  LevelBarrierHooks hooks(P, layers, result.level_finish);
+  core::ScheduleResult base = engine.run(hooks);
+  result.trace = std::move(base.trace);
+  result.makespan = base.makespan;
+  result.allocation = std::move(base.allocation);
   return result;
 }
 

@@ -11,6 +11,9 @@
 
 namespace moldsched::sched {
 
+// Not a core::ListEngine client: malleable tasks change their processor
+// share continuously, so the schedule is a fluid simulation between
+// completion instants, with no event queue and no fixed allocation.
 MalleableResult schedule_malleable_fluid(const graph::TaskGraph& g, int P) {
   if (P < 1)
     throw std::invalid_argument("schedule_malleable_fluid: P must be >= 1");

@@ -6,9 +6,8 @@
 #include <stdexcept>
 
 #include "moldsched/analysis/bounds.hpp"
+#include "moldsched/core/list_engine.hpp"
 #include "moldsched/graph/algorithms.hpp"
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
 
 namespace moldsched::sched {
 
@@ -28,59 +27,13 @@ sim::Trace list_schedule_with_allocations(
           "list_schedule_with_allocations: allocation outside [1, P]");
   g.validate();
 
-  sim::Trace trace;
-  sim::EventQueue events;
-  sim::Platform platform(P);
-  std::vector<int> pending(static_cast<std::size_t>(n));
-  for (graph::TaskId v = 0; v < n; ++v)
-    pending[static_cast<std::size_t>(v)] = g.in_degree(v);
-
-  // Ready queue kept sorted by (priority desc, id asc).
-  std::vector<graph::TaskId> ready;
-  auto insert_ready = [&](graph::TaskId v) {
-    auto less = [&](graph::TaskId a, graph::TaskId b) {
-      const double pa = priorities[static_cast<std::size_t>(a)];
-      const double pb = priorities[static_cast<std::size_t>(b)];
-      if (pa != pb) return pa > pb;
-      return a < b;
-    };
-    ready.insert(std::lower_bound(ready.begin(), ready.end(), v, less), v);
-  };
-  auto try_start_all = [&](double now) {
-    auto it = ready.begin();
-    while (it != ready.end()) {
-      const int alloc = allocations[static_cast<std::size_t>(*it)];
-      if (alloc <= platform.available()) {
-        platform.acquire(alloc);
-        trace.record_start(*it, now, alloc);
-        events.schedule(now + g.model_of(*it).time(alloc), *it);
-        it = ready.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  for (graph::TaskId v = 0; v < n; ++v)
-    if (pending[static_cast<std::size_t>(v)] == 0) insert_ready(v);
-  try_start_all(0.0);
-
-  while (!events.empty()) {
-    const auto batch = events.pop_simultaneous();
-    const double now = events.now();
-    for (const auto& ev : batch) {
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      trace.record_end(task, now);
-      platform.release(allocations[static_cast<std::size_t>(task)]);
-      for (const graph::TaskId s : g.successors(task))
-        if (--pending[static_cast<std::size_t>(s)] == 0) insert_ready(s);
-    }
-    try_start_all(now);
-  }
-
-  if (!ready.empty())
-    throw std::logic_error("list_schedule_with_allocations: deadlock");
-  return trace;
+  core::ListEngine engine({.graph = g,
+                           .P = P,
+                           .who = "list_schedule_with_allocations",
+                           .allocations = &allocations,
+                           .priorities = &priorities});
+  core::CountHooks hooks(P);
+  return engine.run(hooks).trace;
 }
 
 std::vector<int> area_minimal_allotment(const graph::TaskGraph& g, int P,

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "moldsched/sim/event_queue.hpp"
-#include "moldsched/sim/platform.hpp"
+#include "moldsched/core/list_engine.hpp"
 
 namespace moldsched::sched {
 
@@ -29,98 +28,34 @@ OnlineReleaseScheduler::OnlineReleaseScheduler(std::vector<ReleasedTask> tasks,
   }
 }
 
-namespace {
-
-struct QueueEntry {
-  int task;
-  double key;
-  std::uint64_t seq;
-};
-
-}  // namespace
-
 ReleaseScheduleResult OnlineReleaseScheduler::run() const {
-  const auto n = static_cast<int>(tasks_.size());
-  ReleaseScheduleResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 0);
-  result.wait_time.assign(static_cast<std::size_t>(n), 0.0);
-
-  sim::EventQueue events;
-  sim::Platform platform(P_);
-  // Payloads < n are completions; payload n + i is the release of task i.
-  for (int i = 0; i < n; ++i)
-    events.schedule(tasks_[static_cast<std::size_t>(i)].release, n + i);
-
-  std::vector<QueueEntry> queue;
-  std::uint64_t seq = 0;
-
-  auto reveal = [&](int task) {
-    const auto& model = *tasks_[static_cast<std::size_t>(task)].model;
-    const int alloc = allocator_.allocate(model, P_);
-    if (alloc < 1 || alloc > P_)
-      throw std::logic_error(
-          "OnlineReleaseScheduler: allocation outside [1, P]");
-    result.allocation[static_cast<std::size_t>(task)] = alloc;
-    const QueueEntry entry{task, priority_key(policy_, model, alloc, P_),
-                           seq++};
-    switch (policy_) {
-      case core::QueuePolicy::kFifo:
-        queue.push_back(entry);
-        break;
-      case core::QueuePolicy::kLifo:
-        queue.insert(queue.begin(), entry);
-        break;
-      default: {
-        auto it = std::find_if(
-            queue.begin(), queue.end(),
-            [&](const QueueEntry& e) { return e.key < entry.key; });
-        queue.insert(it, entry);
-        break;
-      }
-    }
-  };
-
-  auto try_start_all = [&](double now) {
-    auto it = queue.begin();
-    while (it != queue.end()) {
-      const int task = it->task;
-      const int alloc = result.allocation[static_cast<std::size_t>(task)];
-      if (alloc <= platform.available()) {
-        platform.acquire(alloc);
-        result.trace.record_start(task, now, alloc);
-        result.wait_time[static_cast<std::size_t>(task)] =
-            now - tasks_[static_cast<std::size_t>(task)].release;
-        events.schedule(
-            now + tasks_[static_cast<std::size_t>(task)].model->time(alloc),
-            task);
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  while (!events.empty()) {
-    const auto batch = events.pop_simultaneous();
-    const double now = events.now();
-    std::vector<int> released;
-    for (const auto& ev : batch) {
-      if (ev.payload >= n) {
-        released.push_back(static_cast<int>(ev.payload) - n);
-      } else {
-        const auto task = static_cast<int>(ev.payload);
-        result.trace.record_end(task, now);
-        platform.release(result.allocation[static_cast<std::size_t>(task)]);
-      }
-    }
-    std::sort(released.begin(), released.end());
-    for (const int task : released) reveal(task);
-    try_start_all(now);
+  // Independent tasks: an edgeless graph, with arrivals at the release
+  // times instead of at time 0.
+  graph::TaskGraph g;
+  std::vector<double> release;
+  g.reserve(static_cast<int>(tasks_.size()), 0);
+  release.reserve(tasks_.size());
+  for (const auto& t : tasks_) {
+    g.add_task(t.model, t.name);
+    release.push_back(t.release);
   }
+  core::ListEngine engine({.graph = g,
+                           .P = P_,
+                           .who = "OnlineReleaseScheduler",
+                           .allocator = &allocator_,
+                           .policy = policy_,
+                           .release_times = &release});
+  core::CountHooks hooks(P_);
+  core::ScheduleResult base = engine.run(hooks);
 
-  if (!queue.empty())
-    throw std::logic_error("OnlineReleaseScheduler: deadlock");
-  result.makespan = result.trace.makespan();
+  ReleaseScheduleResult result;
+  result.wait_time.assign(tasks_.size(), 0.0);
+  for (const auto& rec : base.trace.records())
+    result.wait_time[static_cast<std::size_t>(rec.task)] =
+        rec.start - release[static_cast<std::size_t>(rec.task)];
+  result.trace = std::move(base.trace);
+  result.makespan = base.makespan;
+  result.allocation = std::move(base.allocation);
   return result;
 }
 

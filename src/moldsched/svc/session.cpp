@@ -32,6 +32,9 @@ double Session::idle_seconds() const {
       .count();
 }
 
+// Re-runs the registered spec on the whole prefix. The spec's scheduler
+// runs through core::ListEngine to completion; resuming the engine from
+// a checkpoint instead of re-running the prefix is not implemented.
 const core::ScheduleResult& Session::run_prefix() {
   if (result_tasks_ == graph_.num_tasks()) return last_result_;
   const auto t0 = std::chrono::steady_clock::now();
