@@ -1,10 +1,10 @@
 #include "moldsched/check/wire_check.hpp"
 
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 
 #include "moldsched/check/differential.hpp"
+#include "moldsched/graph/algorithms.hpp"
 #include "moldsched/sched/registry.hpp"
 #include "moldsched/svc/protocol.hpp"
 #include "moldsched/svc/session.hpp"
@@ -12,32 +12,10 @@
 
 namespace moldsched::check {
 
-std::vector<graph::TaskId> min_id_topological_order(const graph::TaskGraph& g) {
-  const int n = g.num_tasks();
-  std::vector<int> indegree(static_cast<std::size_t>(n));
-  std::priority_queue<graph::TaskId, std::vector<graph::TaskId>,
-                      std::greater<>>
-      ready;
-  for (graph::TaskId v = 0; v < n; ++v) {
-    indegree[static_cast<std::size_t>(v)] = g.in_degree(v);
-    if (g.in_degree(v) == 0) ready.push(v);
-  }
-  std::vector<graph::TaskId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const graph::TaskId v = ready.top();
-    ready.pop();
-    order.push_back(v);
-    for (const graph::TaskId s : g.successors(v))
-      if (--indegree[static_cast<std::size_t>(s)] == 0) ready.push(s);
-  }
-  if (static_cast<int>(order.size()) != n)
-    throw std::invalid_argument("min_id_topological_order: graph is cyclic");
-  return order;
-}
-
 graph::TaskGraph relabel_topological(const graph::TaskGraph& g) {
-  const auto order = min_id_topological_order(g);
+  if (!graph::is_acyclic(g))
+    throw std::invalid_argument("relabel_topological: graph is cyclic");
+  const auto order = graph::topological_order(g);
   std::vector<graph::TaskId> new_id(order.size());
   for (std::size_t i = 0; i < order.size(); ++i)
     new_id[static_cast<std::size_t>(order[i])] = static_cast<graph::TaskId>(i);

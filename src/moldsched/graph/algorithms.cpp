@@ -40,25 +40,29 @@ std::vector<TaskId> topological_order(const TaskGraph& g) {
   return order;
 }
 
-bool is_acyclic(const TaskGraph& g) {
-  // Plain FIFO Kahn: unlike topological_order there is no ordering
-  // contract to honor, so skip the priority queue — this runs inside
-  // TaskGraph::validate() on every scheduler construction and must stay
-  // O(V+E) at 10^7 tasks.
+std::vector<TaskId> fifo_topological_order(const TaskGraph& g) {
   const int n = g.num_tasks();
   std::vector<int> in_deg(static_cast<std::size_t>(n));
-  std::vector<TaskId> queue;
-  queue.reserve(static_cast<std::size_t>(n));
+  std::vector<TaskId> order;
+  order.reserve(static_cast<std::size_t>(n));
   for (TaskId v = 0; v < n; ++v) {
     in_deg[static_cast<std::size_t>(v)] = g.in_degree(v);
-    if (in_deg[static_cast<std::size_t>(v)] == 0) queue.push_back(v);
+    if (in_deg[static_cast<std::size_t>(v)] == 0) order.push_back(v);
   }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    for (const TaskId s : g.successors(queue[head])) {
-      if (--in_deg[static_cast<std::size_t>(s)] == 0) queue.push_back(s);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const TaskId s : g.successors(order[head])) {
+      if (--in_deg[static_cast<std::size_t>(s)] == 0) order.push_back(s);
     }
   }
-  return queue.size() == static_cast<std::size_t>(n);
+  return order;
+}
+
+bool is_acyclic(const TaskGraph& g) {
+  // No ordering contract to honor, so skip topological_order's priority
+  // queue: this runs inside TaskGraph::validate() on every scheduler
+  // construction and must stay O(V+E) at 10^7 tasks.
+  return fifo_topological_order(g).size() ==
+         static_cast<std::size_t>(g.num_tasks());
 }
 
 std::vector<double> top_levels(const TaskGraph& g,
@@ -103,7 +107,11 @@ double longest_path_length(const TaskGraph& g,
 
 std::vector<TaskId> critical_path_tasks(const TaskGraph& g,
                                         const std::vector<double>& times) {
-  const auto bottom = bottom_levels(g, times);
+  return critical_path_from_bottom_levels(g, bottom_levels(g, times));
+}
+
+std::vector<TaskId> critical_path_from_bottom_levels(
+    const TaskGraph& g, const std::vector<double>& bottom) {
   // Start from the source of a maximal bottom level, then follow the
   // successor that preserves the remaining path length.
   TaskId cur = 0;
@@ -123,15 +131,12 @@ std::vector<TaskId> critical_path_tasks(const TaskGraph& g,
   }
   std::vector<TaskId> path{cur};
   while (g.out_degree(cur) != 0) {
-    const double remaining = bottom[static_cast<std::size_t>(cur)] -
-                             times[static_cast<std::size_t>(cur)];
     TaskId next = g.successors(cur).front();
     for (const TaskId s : g.successors(cur)) {
       if (bottom[static_cast<std::size_t>(s)] >=
           bottom[static_cast<std::size_t>(next)])
         next = s;
     }
-    (void)remaining;
     path.push_back(next);
     cur = next;
   }

@@ -13,6 +13,11 @@ namespace moldsched::graph {
 /// is deterministic.
 [[nodiscard]] std::vector<TaskId> topological_order(const TaskGraph& g);
 
+/// Kahn's algorithm with a FIFO ready list: O(V+E), no ordering
+/// contract among ready tasks. On a cyclic graph the order comes out
+/// short: every task on or behind a cycle is missing.
+[[nodiscard]] std::vector<TaskId> fifo_topological_order(const TaskGraph& g);
+
 [[nodiscard]] bool is_acyclic(const TaskGraph& g);
 
 /// Longest path ending at each task, *excluding* the task's own time:
@@ -33,6 +38,11 @@ namespace moldsched::graph {
 /// Tasks of one longest weighted path, in precedence order.
 [[nodiscard]] std::vector<TaskId> critical_path_tasks(
     const TaskGraph& g, const std::vector<double>& times);
+
+/// The same path, walked from bottom levels already computed by
+/// bottom_levels(g, times), for callers that also need the length.
+[[nodiscard]] std::vector<TaskId> critical_path_from_bottom_levels(
+    const TaskGraph& g, const std::vector<double>& bottom);
 
 /// D: the number of tasks along the longest (hop-count) path. This is the
 /// quantity in the Theorem 9 bound Omega(ln D).

@@ -13,20 +13,8 @@ namespace {
 /// FIFO-Kahn topological order (no ordering contract — O(V+E)). Throws
 /// std::logic_error on cycles so passes fail loudly instead of looping.
 std::vector<TaskId> linear_topo_order(const TaskGraph& g) {
-  const int n = g.num_tasks();
-  std::vector<int> in_deg(static_cast<std::size_t>(n));
-  std::vector<TaskId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (TaskId v = 0; v < n; ++v) {
-    in_deg[static_cast<std::size_t>(v)] = g.in_degree(v);
-    if (in_deg[static_cast<std::size_t>(v)] == 0) order.push_back(v);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const TaskId s : g.successors(order[head])) {
-      if (--in_deg[static_cast<std::size_t>(s)] == 0) order.push_back(s);
-    }
-  }
-  if (order.size() != static_cast<std::size_t>(n))
+  std::vector<TaskId> order = fifo_topological_order(g);
+  if (order.size() != static_cast<std::size_t>(g.num_tasks()))
     throw std::logic_error("graph::passes: graph contains a cycle");
   return order;
 }
@@ -117,9 +105,11 @@ CriticalPath critical_path(const TaskGraph& g,
                            const std::vector<double>& times) {
   if (g.num_tasks() == 0)
     throw std::logic_error("graph::passes::critical_path: empty graph");
+  // One bottom-level pass serves both the length and the path.
+  const std::vector<double> bottom = bottom_levels(g, times);
   CriticalPath cp;
-  cp.length = longest_path_length(g, times);
-  cp.tasks = critical_path_tasks(g, times);
+  for (const double b : bottom) cp.length = std::max(cp.length, b);
+  cp.tasks = critical_path_from_bottom_levels(g, bottom);
   obs::default_registry().counter("graph.pass.critical_path.runs").add(1);
   return cp;
 }
