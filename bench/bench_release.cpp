@@ -6,17 +6,18 @@
 // Measures the LPA-based list scheduler's makespan against the
 // release-aware lower bound across arrival intensities and allocator
 // choices; empirical ratios sit far below Ye et al.'s worst-case 16.74.
+// The sweep is the "release" suite of the experiment engine: this binary
+// is a thin wrapper over engine::run_suite (equivalent to
+// `moldsched_run --suite release`) plus the micro-benchmark section.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "moldsched/analysis/ratios.hpp"
 #include "moldsched/core/allocator.hpp"
+#include "moldsched/engine/suites.hpp"
 #include "moldsched/model/sampler.hpp"
-#include "moldsched/sched/baselines.hpp"
 #include "moldsched/sched/release_scheduler.hpp"
-#include "moldsched/util/stats.hpp"
-#include "moldsched/util/table.hpp"
 
 namespace {
 
@@ -35,47 +36,6 @@ std::vector<sched::ReleasedTask> make_arrivals(model::ModelKind kind, int n,
     tasks.push_back({sampler.sample(rng, P), t, "t" + std::to_string(i)});
   }
   return tasks;
-}
-
-void sweep(model::ModelKind kind) {
-  const int P = 32;
-  const int n = 150;
-  const double mu = analysis::optimal_mu(kind);
-  const core::LpaAllocator lpa(mu);
-  const sched::MinTimeAllocator greedy;
-  const sched::SequentialAllocator sequential;
-
-  util::Table t({"arrival rate", "LB", "lpa T/LB", "min-time T/LB",
-                 "sequential T/LB"});
-  for (const double rate : {0.0, 0.05, 0.2, 1.0}) {
-    util::Accumulator lb_acc;
-    util::Accumulator r_lpa;
-    util::Accumulator r_greedy;
-    util::Accumulator r_seq;
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const auto tasks = make_arrivals(kind, n, P, rate, seed);
-      const double lb = sched::release_makespan_lower_bound(tasks, P);
-      lb_acc.add(lb);
-      r_lpa.add(sched::OnlineReleaseScheduler(tasks, P, lpa).run().makespan /
-                lb);
-      r_greedy.add(
-          sched::OnlineReleaseScheduler(tasks, P, greedy).run().makespan / lb);
-      r_seq.add(
-          sched::OnlineReleaseScheduler(tasks, P, sequential).run().makespan /
-          lb);
-    }
-    t.new_row()
-        .cell(rate, 2)
-        .cell(lb_acc.mean(), 1)
-        .cell(r_lpa.mean(), 3)
-        .cell(r_greedy.mean(), 3)
-        .cell(r_seq.mean(), 3);
-  }
-  t.print(std::cout,
-          "model = " + model::to_string(kind) + ", n = " +
-              std::to_string(n) + ", P = " + std::to_string(P) +
-              " (rate 0 = all released at t=0; Ye et al. worst case 16.74)");
-  std::cout << '\n';
 }
 
 void BM_ReleaseSchedule(benchmark::State& state) {
@@ -97,11 +57,9 @@ BENCHMARK(BM_ReleaseSchedule)->Arg(100)->Arg(1000)->Unit(
 
 int main(int argc, char** argv) {
   std::cout << "=== bench_release: tasks released over time ===\n\n";
-  for (const auto kind :
-       {model::ModelKind::kRoofline, model::ModelKind::kCommunication,
-        model::ModelKind::kAmdahl, model::ModelKind::kGeneral}) {
-    sweep(kind);
-  }
+  engine::SuiteOptions options;
+  options.human_out = &std::cout;
+  (void)engine::run_suite("release", options);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -8,17 +8,18 @@
 // Bernoulli (per-attempt) and Poisson (area-proportional) failure models.
 // The Poisson model is where LPA's area-lean allocations pay off twice:
 // less exposure per attempt, so fewer retries AND less waste per retry.
+// The sweep is the "resilience" suite of the experiment engine: this
+// binary is a thin wrapper over engine::run_suite (equivalent to
+// `moldsched_run --suite resilience`) plus the micro-benchmark section.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "moldsched/analysis/ratios.hpp"
 #include "moldsched/core/allocator.hpp"
+#include "moldsched/engine/suites.hpp"
 #include "moldsched/graph/generators.hpp"
 #include "moldsched/resilience/resilient_scheduler.hpp"
-#include "moldsched/sched/baselines.hpp"
-#include "moldsched/util/stats.hpp"
-#include "moldsched/util/table.hpp"
 
 namespace {
 
@@ -29,67 +30,6 @@ graph::TaskGraph make_workload(int P, std::uint64_t seed) {
   static const model::ModelSampler sampler(model::ModelKind::kCommunication);
   return graph::layered_random(8, 3, 10, 0.3, rng,
                                graph::sampling_provider(sampler, rng, P));
-}
-
-struct SweepPoint {
-  double mean_makespan = 0.0;
-  double mean_attempts = 0.0;
-  double waste_fraction = 0.0;
-};
-
-SweepPoint run_sweep_point(const graph::TaskGraph& g, int P,
-                           const core::Allocator& alloc,
-                           const resilience::FailureModelPtr& failures) {
-  util::Accumulator makespan;
-  util::Accumulator attempts;
-  util::Accumulator waste;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto result =
-        resilience::ResilientOnlineScheduler(g, P, alloc, failures, seed)
-            .run();
-    makespan.add(result.makespan);
-    double total_attempts = 0.0;
-    for (const int a : result.attempts_per_task)
-      total_attempts += static_cast<double>(a);
-    attempts.add(total_attempts / static_cast<double>(g.num_tasks()));
-    waste.add(result.wasted_area / result.total_area);
-  }
-  return {makespan.mean(), attempts.mean(), waste.mean()};
-}
-
-void sweep(bool poisson) {
-  const int P = 32;
-  const auto g = make_workload(P, 77);
-  const double mu = analysis::optimal_mu(model::ModelKind::kCommunication);
-  const core::LpaAllocator lpa(mu);
-  const sched::MinTimeAllocator greedy;
-
-  util::Table t({"intensity", "lpa makespan", "lpa attempts/task",
-                 "lpa waste", "min-time makespan", "min-time attempts/task",
-                 "min-time waste"});
-  for (const double intensity : {0.0, 0.1, 0.2, 0.4, 0.6}) {
-    resilience::FailureModelPtr failures;
-    if (poisson)
-      failures = std::make_shared<resilience::PoissonAreaFailures>(
-          intensity * 0.002);
-    else
-      failures = std::make_shared<resilience::BernoulliFailures>(intensity);
-    const auto a = run_sweep_point(g, P, lpa, failures);
-    const auto b = run_sweep_point(g, P, greedy, failures);
-    t.new_row()
-        .cell(intensity, 3)
-        .cell(a.mean_makespan, 1)
-        .cell(a.mean_attempts, 2)
-        .cell(a.waste_fraction, 3)
-        .cell(b.mean_makespan, 1)
-        .cell(b.mean_attempts, 2)
-        .cell(b.waste_fraction, 3);
-  }
-  t.print(std::cout,
-          poisson ? "Poisson area-proportional failures (lambda = "
-                    "intensity * 0.002); larger allocations fail more"
-                  : "Bernoulli per-attempt failures (q = intensity)");
-  std::cout << '\n';
 }
 
 void BM_ResilientSchedule(benchmark::State& state) {
@@ -113,8 +53,9 @@ BENCHMARK(BM_ResilientSchedule)->Arg(0)->Arg(30)->Arg(60)->Unit(
 
 int main(int argc, char** argv) {
   std::cout << "=== bench_resilience: scheduling under task failures ===\n\n";
-  sweep(/*poisson=*/false);
-  sweep(/*poisson=*/true);
+  engine::SuiteOptions options;
+  options.human_out = &std::cout;
+  (void)engine::run_suite("resilience", options);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

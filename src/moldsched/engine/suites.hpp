@@ -1,10 +1,10 @@
 // Named experiment suites on top of the job engine.
 //
 // A suite turns a name ("table1", "random-dags", ...) into a declarative
-// job list, a runner mapping each JobSpec to a JobRecord, and a
-// finalizer that writes the legacy results/*.csv outputs from the
-// record stream. The moldsched_run CLI and the thin bench wrappers are
-// both built on run_suite().
+// job list, a runner factory mapping the run's options to the runner of
+// each JobSpec, and a finalizer that writes the legacy results/*.csv
+// outputs from the ok records. The moldsched_run CLI and the thin bench
+// wrappers are both built on run_suite().
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,10 @@ struct SuiteInfo {
 
 [[nodiscard]] bool has_suite(const std::string& name);
 
-/// Builds the suite's (possibly filtered) job list without running it.
+/// Builds the suite's job list without running it, keeping only the
+/// jobs whose key() contains options.filter (all when empty). Survivors
+/// keep the ids and seeds of the full list; run_suite() runs exactly
+/// this list.
 [[nodiscard]] std::vector<JobSpec> suite_jobs(const std::string& name,
                                               const SuiteOptions& options = {});
 

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,12 +65,37 @@ TEST_P(DeterminismTest, ResilienceSuiteIsThreadCountInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          testing::Values(1234ULL, 99ULL, 31337ULL));
 
-TEST(DeterminismTest, FilteredRunMatchesTheFullRunsSubset) {
-  const auto full = run_quiet("release", 2, 1234, "full");
-  const auto filtered =
-      run_quiet("release", 2, 1234, "filtered", "rate@0.2/lpa");
+struct FilterCase {
+  const char* suite;
+  const char* filter;  ///< matches some, not all, of the suite's jobs
+};
+
+// ctest names each case after this (".../MatchesTheFullRunsSubset/table1").
+void PrintTo(const FilterCase& c, std::ostream* os) { *os << c.suite; }
+
+class FilteredRunTest : public testing::TestWithParam<FilterCase> {};
+
+// --dry-run lists suite_jobs(); a filtered run must execute exactly that
+// list, and each of its records must equal the full run's record with
+// the same job id.
+TEST_P(FilteredRunTest, MatchesTheFullRunsSubset) {
+  const FilterCase& c = GetParam();
+  const std::string tag = std::string("filter_") + c.suite;
+  const auto full = run_quiet(c.suite, 2, 1234, tag + "_full");
+  const auto filtered = run_quiet(c.suite, 2, 1234, tag, c.filter);
   ASSERT_FALSE(filtered.records.empty());
   ASSERT_LT(filtered.records.size(), full.records.size());
+
+  SuiteOptions options;
+  options.repeats = 1;
+  options.filter = c.filter;
+  std::vector<std::uint64_t> listed;
+  for (const auto& spec : suite_jobs(c.suite, options))
+    listed.push_back(spec.job_id);
+  std::vector<std::uint64_t> ran;
+  for (const auto& rec : filtered.records) ran.push_back(rec.spec.job_id);
+  EXPECT_EQ(listed, ran);
+
   std::map<std::uint64_t, std::string> by_id;
   for (const auto& rec : full.records)
     by_id[rec.spec.job_id] = rec.canonical_json();
@@ -78,6 +104,20 @@ TEST(DeterminismTest, FilteredRunMatchesTheFullRunsSubset) {
     EXPECT_EQ(rec.canonical_json(), by_id[rec.spec.job_id]);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSuites, FilteredRunTest,
+    testing::Values(FilterCase{"table1", "comm-adversary"},
+                    FilterCase{"ratio-curves", "model=amdahl"},
+                    FilterCase{"random-dags", "fork-join/"},
+                    FilterCase{"workflows", "fft/"},
+                    FilterCase{"resilience", "poisson@0.2/"},
+                    FilterCase{"selfcheck", "model=general"},
+                    FilterCase{"release", "rate@0.2/lpa"},
+                    FilterCase{"improved", "corpus/"},
+                    FilterCase{"pisa", "vs/lpa"},
+                    FilterCase{"ingest", "/lpa model="},
+                    FilterCase{"exact", "/oracle"}));
 
 TEST(DeterminismTest, DifferentSeedsProduceDifferentResults) {
   const auto a = run_quiet("release", 2, 1, "seed_a");
