@@ -8,7 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "moldsched/model/extra_models.hpp"
+#include "moldsched/model/arbitrary_model.hpp"
 #include "moldsched/model/special_models.hpp"
 
 namespace moldsched::ingest {

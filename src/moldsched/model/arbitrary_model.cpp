@@ -1,5 +1,6 @@
 #include "moldsched/model/arbitrary_model.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -92,6 +93,51 @@ std::shared_ptr<const SpeedupModel> make_log_speedup_model() {
   return std::make_shared<FunctionModel>(
       [](int p) { return 1.0 / (std::log2(static_cast<double>(p)) + 1.0); },
       "1/(lg p + 1)", /*time_nonincreasing=*/true);
+}
+
+std::shared_ptr<const SpeedupModel> table_from_samples(
+    std::vector<std::pair<int, double>> samples, int P, std::string name) {
+  if (samples.empty())
+    throw std::invalid_argument("table_from_samples: no samples");
+  if (P < 1) throw std::invalid_argument("table_from_samples: P must be >= 1");
+  for (const auto& [p, t] : samples) {
+    if (p < 1)
+      throw std::invalid_argument("table_from_samples: sample with p < 1");
+    if (!(t > 0.0) || !std::isfinite(t))
+      throw std::invalid_argument(
+          "table_from_samples: sample times must be positive and finite");
+  }
+  std::sort(samples.begin(), samples.end());
+  // Collapse duplicate p, keeping the fastest observation.
+  std::vector<std::pair<int, double>> unique;
+  for (const auto& s : samples) {
+    if (!unique.empty() && unique.back().first == s.first)
+      unique.back().second = std::min(unique.back().second, s.second);
+    else
+      unique.push_back(s);
+  }
+
+  std::vector<double> times(static_cast<std::size_t>(P));
+  std::size_t hi = 0;  // first sample with p >= current allocation
+  for (int p = 1; p <= P; ++p) {
+    while (hi < unique.size() && unique[hi].first < p) ++hi;
+    double t = 0.0;
+    if (hi == 0) {
+      t = unique.front().second;  // clamp below the sampled range
+    } else if (hi == unique.size()) {
+      t = unique.back().second;  // clamp above
+    } else if (unique[hi].first == p) {
+      t = unique[hi].second;
+    } else {
+      const auto& [p0, t0] = unique[hi - 1];
+      const auto& [p1, t1] = unique[hi];
+      const double frac = static_cast<double>(p - p0) /
+                          static_cast<double>(p1 - p0);
+      t = t0 + frac * (t1 - t0);
+    }
+    times[static_cast<std::size_t>(p - 1)] = t;
+  }
+  return std::make_shared<TableModel>(std::move(times), std::move(name));
 }
 
 }  // namespace moldsched::model

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "moldsched/model/speedup_model.hpp"
@@ -64,5 +65,15 @@ class FunctionModel : public SpeedupModel {
 /// The Theorem 9 model: t(p) = 1 / (lg(p) + 1), lg = log base 2.
 /// Time is decreasing in p while the area p/(lg(p)+1) is increasing.
 [[nodiscard]] std::shared_ptr<const SpeedupModel> make_log_speedup_model();
+
+/// Builds a TableModel for allocations 1..P from measured (procs, time)
+/// samples, linearly interpolating between sample points and clamping
+/// outside their range — the bridge from profiling data to a schedulable
+/// model. Samples need not be sorted; duplicates (same p) keep the
+/// smaller time. Throws unless at least one sample is given, every
+/// sample has p >= 1 and time > 0, and P >= 1.
+[[nodiscard]] std::shared_ptr<const SpeedupModel> table_from_samples(
+    std::vector<std::pair<int, double>> samples, int P,
+    std::string name = "profiled");
 
 }  // namespace moldsched::model

@@ -6,7 +6,6 @@
 
 // Speedup models (Section 3.1)
 #include "moldsched/model/arbitrary_model.hpp"
-#include "moldsched/model/extra_models.hpp"
 #include "moldsched/model/fit.hpp"
 #include "moldsched/model/general_model.hpp"
 #include "moldsched/model/sampler.hpp"

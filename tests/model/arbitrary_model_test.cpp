@@ -98,5 +98,53 @@ TEST(LogSpeedupModelTest, PmaxIsWholeMachine) {
   EXPECT_EQ(m->max_useful_procs(1 << 16), 1 << 16);
 }
 
+TEST(TableFromSamplesTest, ExactAtSamplePoints) {
+  const auto m = table_from_samples({{1, 10.0}, {4, 4.0}, {8, 3.0}}, 8);
+  EXPECT_DOUBLE_EQ(m->time(1), 10.0);
+  EXPECT_DOUBLE_EQ(m->time(4), 4.0);
+  EXPECT_DOUBLE_EQ(m->time(8), 3.0);
+}
+
+TEST(TableFromSamplesTest, LinearInterpolationBetweenSamples) {
+  const auto m = table_from_samples({{1, 10.0}, {5, 2.0}}, 8);
+  EXPECT_DOUBLE_EQ(m->time(3), 6.0);  // halfway
+  EXPECT_DOUBLE_EQ(m->time(2), 8.0);
+}
+
+TEST(TableFromSamplesTest, ClampsOutsideSampledRange) {
+  const auto m = table_from_samples({{2, 6.0}, {4, 3.0}}, 8);
+  EXPECT_DOUBLE_EQ(m->time(1), 6.0);  // below range
+  EXPECT_DOUBLE_EQ(m->time(8), 3.0);  // above range
+}
+
+TEST(TableFromSamplesTest, UnsortedAndDuplicateSamples) {
+  const auto m =
+      table_from_samples({{4, 5.0}, {1, 9.0}, {4, 4.0}, {2, 7.0}}, 4);
+  EXPECT_DOUBLE_EQ(m->time(1), 9.0);
+  EXPECT_DOUBLE_EQ(m->time(2), 7.0);
+  EXPECT_DOUBLE_EQ(m->time(4), 4.0);  // duplicate kept the faster one
+  EXPECT_DOUBLE_EQ(m->time(3), 5.5);  // interpolated between 2 and 4
+}
+
+TEST(TableFromSamplesTest, SingleSampleIsConstant) {
+  const auto m = table_from_samples({{4, 2.5}}, 8);
+  for (int p = 1; p <= 8; ++p) EXPECT_DOUBLE_EQ(m->time(p), 2.5);
+}
+
+TEST(TableFromSamplesTest, RejectsBadInput) {
+  EXPECT_THROW((void)table_from_samples({}, 4), std::invalid_argument);
+  EXPECT_THROW((void)table_from_samples({{0, 1.0}}, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)table_from_samples({{1, 0.0}}, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)table_from_samples({{1, 1.0}}, 0),
+               std::invalid_argument);
+}
+
+TEST(TableFromSamplesTest, NamePropagates) {
+  const auto m = table_from_samples({{1, 1.0}}, 2, "measured-kernel");
+  EXPECT_NE(m->describe().find("measured-kernel"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace moldsched::model
