@@ -3,6 +3,7 @@
 // on these structured graphs exactly as on random ones).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "moldsched/analysis/bounds.hpp"
@@ -21,9 +22,11 @@ struct WorkflowCase {
   model::ModelKind kind;
 };
 
-std::string case_name(const testing::TestParamInfo<WorkflowCase>& info) {
-  return std::string(info.param.workflow) + "_" +
-         model::to_string(info.param.kind);
+// ctest names each case after this (".../OnlineWithinTheoremBound/
+// cholesky/amdahl"). gtest's fallback prints the struct's raw bytes, a
+// pointer and padding, which differ from build to build.
+void PrintTo(const WorkflowCase& c, std::ostream* os) {
+  *os << c.workflow << '/' << model::to_string(c.kind);
 }
 
 graph::TaskGraph build(const char* name, model::ModelKind kind) {
@@ -77,8 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
         WorkflowCase{"montage", model::ModelKind::kCommunication},
         WorkflowCase{"montage", model::ModelKind::kGeneral},
         WorkflowCase{"wavefront", model::ModelKind::kAmdahl},
-        WorkflowCase{"wavefront", model::ModelKind::kRoofline}),
-    case_name);
+        WorkflowCase{"wavefront", model::ModelKind::kRoofline}));
 
 }  // namespace
 }  // namespace moldsched
