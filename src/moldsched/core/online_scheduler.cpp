@@ -74,6 +74,7 @@ struct ObserverHooks : CountHooks {
   double waiting_area = 0.0;    // sum of alloc * (start - ready)
   double executing_area = 0.0;  // sum of alloc * exec_time
 };
+static_assert(kFirstFit<CountHooks> && kFirstFit<ObserverHooks>);
 
 }  // namespace
 

@@ -75,6 +75,7 @@ struct RetryHooks : core::CountHooks {
   // Index into result.attempts of the running attempt per task.
   std::vector<std::int64_t> running;
 };
+static_assert(core::kFirstFit<RetryHooks>);
 
 }  // namespace
 

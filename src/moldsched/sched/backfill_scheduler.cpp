@@ -82,6 +82,8 @@ struct EasyBackfillHooks : core::CountHooks {
   double reservation = 0.0;
   int extra = 0;
 };
+// admit() must see every entry: the flat queue.
+static_assert(!core::kFirstFit<EasyBackfillHooks>);
 
 }  // namespace
 

@@ -67,6 +67,8 @@ struct BlockHooks : core::ListHooks {
   int open_episodes = 0;
   double fragmentation_wait = 0.0;
 };
+// place() can fail and blocked() keeps books: the flat queue.
+static_assert(!core::kFirstFit<BlockHooks>);
 
 }  // namespace
 

@@ -40,6 +40,7 @@ struct LevelBarrierHooks : core::CountHooks {
   int level = 0;
   std::size_t remaining;  // unfinished tasks of the current level
 };
+static_assert(core::kFirstFit<LevelBarrierHooks>);
 
 }  // namespace
 
