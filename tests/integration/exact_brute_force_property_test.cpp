@@ -3,11 +3,14 @@
 // return the *bit-identical* optimal makespan of the unpruned brute
 // force — pruning and memoization may only skip work, never change the
 // arithmetic of the winning leaf. Seeds per cell scale with
-// MOLDSCHED_PROPERTY_SEEDS for the nightly sweep.
+// MOLDSCHED_PROPERTY_SEEDS for the nightly sweep. A slow cell splits its
+// seeds into contiguous parts, one ctest entry each, so that they run in
+// parallel; every part checks its own seeds with the same assertions.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <ios>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -37,20 +40,33 @@ struct Cell {
   const char* family;
   model::ModelKind kind;
   int P;
+  int part = 0;   ///< this entry checks seed part `part` of `parts`
+  int parts = 1;
 };
 
 std::string cell_name(const testing::TestParamInfo<Cell>& info) {
   std::string family = info.param.family;
   for (auto& c : family)
     if (c == '_') c = '0';
-  return family + "_" + model::to_string(info.param.kind) + "_P" +
-         std::to_string(info.param.P);
+  std::string name = family + "_" + model::to_string(info.param.kind) +
+                     "_P" + std::to_string(info.param.P);
+  if (info.param.parts > 1)
+    name += "_part" + std::to_string(info.param.part + 1) + "of" +
+            std::to_string(info.param.parts);
+  return name;
+}
+
+// Keeps the ctest names free of the parameter's raw bytes (the family
+// pointer's bytes would change from build to build).
+void PrintTo(const Cell& c, std::ostream* os) {
+  *os << c.family << '/' << model::to_string(c.kind) << "/P" << c.P;
+  if (c.parts > 1) *os << "/part" << c.part + 1 << "of" << c.parts;
 }
 
 class ExactBruteForceProperty : public testing::TestWithParam<Cell> {};
 
 TEST_P(ExactBruteForceProperty, PrunedSearchIsBitIdenticalToBruteForce) {
-  const auto [family, kind, P] = GetParam();
+  const auto [family, kind, P, part, parts] = GetParam();
   const auto& families = check::corpus_families();
   int fam = -1;
   for (int i = 0; i < static_cast<int>(families.size()); ++i)
@@ -59,7 +75,9 @@ TEST_P(ExactBruteForceProperty, PrunedSearchIsBitIdenticalToBruteForce) {
 
   int checked = 0;
   int truncated = 0;
-  for (int seed = 1; seed <= seeds_per_cell(); ++seed) {
+  const int seeds = seeds_per_cell();
+  for (int seed = part * seeds / parts + 1;
+       seed <= (part + 1) * seeds / parts; ++seed) {
     // Redraw until the instance is enumerable; brute force over 8 tasks
     // is not a practical arbiter.
     graph::TaskGraph g;
@@ -98,7 +116,11 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, ExactBruteForceProperty,
     testing::Values(
         Cell{"layered_random", model::ModelKind::kRoofline, 3},
-        Cell{"fork_join", model::ModelKind::kAmdahl, 4},
+        // Most of the suite's time: its seeds run as four entries.
+        Cell{"fork_join", model::ModelKind::kAmdahl, 4, 0, 4},
+        Cell{"fork_join", model::ModelKind::kAmdahl, 4, 1, 4},
+        Cell{"fork_join", model::ModelKind::kAmdahl, 4, 2, 4},
+        Cell{"fork_join", model::ModelKind::kAmdahl, 4, 3, 4},
         Cell{"series_parallel", model::ModelKind::kCommunication, 3},
         Cell{"random_out_tree", model::ModelKind::kGeneral, 4},
         Cell{"chain", model::ModelKind::kArbitrary, 5},

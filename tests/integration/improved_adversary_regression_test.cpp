@@ -9,6 +9,7 @@
 // wrong derived constant would surface.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,11 @@ graph::AdversaryInstance build(const AdversaryCase& c, double mu) {
 std::string case_name(const testing::TestParamInfo<AdversaryCase>& info) {
   return model::to_string(info.param.kind) + "_" +
          std::to_string(info.param.param);
+}
+
+// Keeps the ctest names free of the parameter's raw bytes.
+void PrintTo(const AdversaryCase& c, std::ostream* os) {
+  *os << model::to_string(c.kind) << '/' << c.param;
 }
 
 class ImprovedAdversaryRegressionTest
