@@ -6,7 +6,6 @@
 #include "moldsched/check/differential.hpp"
 #include "moldsched/graph/algorithms.hpp"
 #include "moldsched/sched/registry.hpp"
-#include "moldsched/svc/protocol.hpp"
 #include "moldsched/svc/session.hpp"
 #include "moldsched/svc/wire.hpp"
 
@@ -42,14 +41,7 @@ std::string WireCheckReport::to_string() const {
   return os.str();
 }
 
-namespace {
-
-/// Rebuilds a ScheduleResult from the fields a close reply carries, so
-/// canonical_schedule can compare it against the in-process run.
-/// Records replay in reply order, which is the trace's insertion order —
-/// the canonical form preserves it.
-[[nodiscard]] core::ScheduleResult result_from_close(
-    const svc::CloseReply& reply) {
+core::ScheduleResult result_from_close(const svc::CloseReply& reply) {
   core::ScheduleResult out;
   for (const auto& rec : reply.records) {
     out.trace.record_start(rec.task, rec.start, rec.procs);
@@ -60,8 +52,6 @@ namespace {
   out.num_events = reply.num_events;
   return out;
 }
-
-}  // namespace
 
 WireCheckReport wire_roundtrip_check(const graph::TaskGraph& g, int P,
                                      const std::string& scheduler, double mu,

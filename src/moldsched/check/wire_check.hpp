@@ -19,8 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "moldsched/core/online_scheduler.hpp"
 #include "moldsched/core/queue_policy.hpp"
 #include "moldsched/graph/task_graph.hpp"
+#include "moldsched/svc/protocol.hpp"
 
 namespace moldsched::check {
 
@@ -42,6 +44,13 @@ struct WireCheckReport {
   [[nodiscard]] bool ok() const noexcept { return mismatches.empty(); }
   [[nodiscard]] std::string to_string() const;
 };
+
+/// Rebuilds a ScheduleResult from the fields a close reply carries, so
+/// canonical_schedule can compare it against an in-process run.
+/// Records replay in reply order, which is the trace's insertion order;
+/// the canonical form preserves it.
+[[nodiscard]] core::ScheduleResult result_from_close(
+    const svc::CloseReply& reply);
 
 /// Runs the full wire battery for scheduler `scheduler` (a
 /// sched::full_suite_names() entry, rebuilt at `mu`, queue policy

@@ -23,6 +23,19 @@ ListEngine::ListEngine(const ListSetup& setup)
   result_.ready_time.assign(n, -1.0);
 }
 
+void ListEngine::add_tasks() {
+  if (completed_ != n_)
+    throw std::logic_error(std::string(setup_.who) +
+                           ": add_tasks needs a finished run");
+  n_ = setup_.graph.num_tasks();
+  const auto n = static_cast<std::size_t>(n_);
+  // Every predecessor of a new task has completed in the finished run;
+  // rerun_from() counts the ones that complete after its checkpoint.
+  pending_preds_.resize(n, 0);
+  result_.allocation.resize(n, 0);
+  result_.ready_time.resize(n, -1.0);
+}
+
 int ListEngine::allocate(graph::TaskId task) const {
   const int alloc =
       setup_.allocations != nullptr

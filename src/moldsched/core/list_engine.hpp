@@ -25,6 +25,12 @@
 // admit, contiguous placement that can fail) get one flat vector in
 // service order, scanned linearly.
 //
+// A run can also grow one task at a time and resume (svc::Session).
+// Hooks with kCheckpoint record a bounded ladder of checkpoints as the
+// run steps; rerun_from() rolls back to the latest checkpoint before a
+// given instant, undoing only what happened since, and steps to
+// completion again. Hooks without it compile the recording away.
+//
 // Internal to the library: the public entry points stay the scheduler
 // functions and classes that call it.
 #pragma once
@@ -32,6 +38,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -43,6 +50,7 @@
 #include "moldsched/obs/observer.hpp"
 #include "moldsched/sim/event_queue.hpp"
 #include "moldsched/sim/platform.hpp"
+#include "moldsched/sim/trace.hpp"
 
 namespace moldsched::core {
 
@@ -83,6 +91,15 @@ struct ListHooks {
   static constexpr bool kRecordTrace = true;
   /// A successful completion decrements its successors' pending counts.
   static constexpr bool kReleaseSuccessors = true;
+  /// Record checkpoints for ListEngine::rerun_from.
+  static constexpr bool kCheckpoint = false;
+
+  /// The successors a completion releases. Their order does not matter:
+  /// simultaneous reveals are sorted by id.
+  [[nodiscard]] static graph::AdjacencyView successors(
+      const graph::TaskGraph& g, graph::TaskId task) {
+    return g.successors(task);
+  }
 
   /// Scan: called once before each pass over the queue; admit() then
   /// sees every entry in queue order (`fits`: alloc <= available()) and
@@ -134,6 +151,31 @@ struct CountHooks : ListHooks {
   sim::Platform platform;
 };
 
+/// CountHooks for a run that grows one task at a time and resumes
+/// (ListEngine::add_tasks, rerun_from). The engine records checkpoints,
+/// and successors come from lists the caller appends to as edges
+/// arrive, so a growing graph never rebuilds its adjacency.
+struct ResumableHooks : CountHooks {
+  static constexpr bool kCheckpoint = true;
+
+  ResumableHooks(int P,
+                 const std::vector<std::vector<graph::TaskId>>& successor_lists)
+      : CountHooks(P), lists(successor_lists) {}
+
+  [[nodiscard]] graph::AdjacencyView successors(const graph::TaskGraph&,
+                                                graph::TaskId task) const {
+    return lists[static_cast<std::size_t>(task)];
+  }
+  /// Returns to a checkpoint's idle processor count.
+  void rewind(int available) {
+    const int total = platform.total();
+    platform = sim::Platform(total);
+    if (available < total) platform.acquire(total - available);
+  }
+
+  const std::vector<std::vector<graph::TaskId>>& lists;
+};
+
 /// True when Hooks keeps CountHooks' first-fit admission: count
 /// placement that always succeeds, admit() = fits, and no bookkeeping
 /// for the entries a pass skips. The engine then serves the waiting
@@ -165,6 +207,33 @@ class ListEngine {
     return result_.ready_time;
   }
 
+  // Resumable runs (Hooks::kCheckpoint).
+
+  /// Takes in the tasks added to the graph since construction or the
+  /// last call. Their predecessors have all completed in the finished
+  /// run; the hooks' successor lists must already name the new edges.
+  /// Throws std::logic_error unless the last run finished.
+  void add_tasks();
+
+  struct Rerun {
+    bool from_checkpoint = false;  ///< false: stepped from the start
+    std::uint64_t replayed_events = 0;
+  };
+  /// Rolls back to the latest checkpoint taken before `time` (or to the
+  /// start) and steps to completion again. Exact when nothing before
+  /// `time` depends on what changed since the last run: a task added
+  /// since becomes available at `time`, after its last predecessor ends,
+  /// and sorts after every lower id revealed with it. Pass 0 for a task
+  /// without predecessors, which is revealed at the start. A task
+  /// revealed again keeps its allocation: Algorithm 2 is not asked twice.
+  template <class Hooks>
+  Rerun rerun_from(Hooks& hooks, double time);
+
+  /// The finished run's result, kept in the engine by rerun_from().
+  [[nodiscard]] const ScheduleResult& result() const noexcept {
+    return result_;
+  }
+
  private:
   [[nodiscard]] int allocate(graph::TaskId task) const;
   /// The entry of a task entering the waiting queue, keyed by the
@@ -180,6 +249,25 @@ class ListEngine {
   /// Removes and returns the head of the bucket of heads_[i].
   WaitingEntry pop_bucket(std::size_t i);
   void check_finished() const;
+
+  /// Reveals the sources (or schedules the arrivals) and runs the first
+  /// scan.
+  template <class Hooks>
+  void begin(Hooks& hooks);
+  /// Pops and handles one batch of simultaneous events.
+  template <class Hooks>
+  void step(Hooks& hooks);
+  template <class Hooks>
+  void finish();
+  template <class Hooks>
+  void checkpoint(Hooks& hooks);
+  /// Restores ladder_[keep - 1], or the state before begin() when keep is
+  /// 0, and drops the later checkpoints.
+  template <class Hooks>
+  void rewind(Hooks& hooks, std::size_t keep);
+  /// Undoes a completion's release of its successors.
+  template <class Hooks>
+  void unrelease(Hooks& hooks, graph::TaskId task);
 
   template <class Hooks>
   void enqueue(graph::TaskId task, int alloc);
@@ -232,6 +320,33 @@ class ListEngine {
   int min_waiting_alloc_;
   int completed_ = 0;
   ScheduleResult result_;
+
+  // The checkpoint ladder (Hooks::kCheckpoint only). A checkpoint is the
+  // state before one batch, minus the per-task arrays: rewind() rebuilds
+  // those by undoing the completions and starts since. Its pending
+  // events and its waiting entries (bucket by bucket, each in service
+  // order) are slices of the two arenas that end at its offsets.
+  struct Checkpoint {
+    double time;  // the batch's instant
+    std::size_t events_end;
+    std::size_t waiting_end;
+    std::uint64_t event_seq;
+    double now;
+    int available;
+    int completed;
+    std::uint64_t reveal_seq;
+    std::uint64_t num_events;
+    std::size_t trace_size;
+  };
+  // At most one checkpoint per kCheckpointSpacing batches, and at most
+  // kCheckpointSpacing stored entries per batch since the previous one,
+  // so the ladder holds O(batches) = O(n) entries however deep the
+  // queue runs.
+  static constexpr std::size_t kCheckpointSpacing = 8;
+  std::vector<Checkpoint> ladder_;
+  std::vector<sim::Event> ladder_events_;
+  std::vector<WaitingEntry> ladder_waiting_;
+  std::size_t batches_since_checkpoint_ = 0;
 };
 
 template <class Hooks>
@@ -246,8 +361,12 @@ void ListEngine::enqueue(graph::TaskId task, int alloc) {
 
 template <class Hooks>
 void ListEngine::reveal(Hooks& hooks, graph::TaskId task, double now) {
-  const int alloc = allocate(task);
   const auto t = static_cast<std::size_t>(task);
+  // Algorithm 2 is a pure function of the model and P, so a task revealed
+  // again after a rewind keeps its decision.
+  const int alloc = Hooks::kCheckpoint && result_.allocation[t] != 0
+                        ? result_.allocation[t]
+                        : allocate(task);
   result_.allocation[t] = alloc;
   result_.ready_time[t] = now;
   enqueue<Hooks>(task, alloc);
@@ -332,7 +451,7 @@ void ListEngine::scan_flat(Hooks& hooks, double now) {
 }
 
 template <class Hooks>
-ScheduleResult ListEngine::run(Hooks& hooks) {
+void ListEngine::begin(Hooks& hooks) {
   events_.set_observer(hooks.event_observer());
   if (setup_.release_times != nullptr) {
     // Payloads < n are completions; payload n + i is task i's arrival.
@@ -346,50 +465,157 @@ ScheduleResult ListEngine::run(Hooks& hooks) {
         reveal(hooks, v, 0.0);
     scan(hooks, 0.0);
   }
+}
 
-  while (!events_.empty()) {
-    events_.pop_simultaneous_into(batch_);
-    const double now = events_.now();
-    result_.num_events += batch_.size();
+template <class Hooks>
+void ListEngine::step(Hooks& hooks) {
+  if constexpr (Hooks::kCheckpoint) checkpoint(hooks);
+  events_.pop_simultaneous_into(batch_);
+  const double now = events_.now();
+  result_.num_events += batch_.size();
 
-    newly_ready_.clear();
-    retries_.clear();
-    for (const sim::Event& ev : batch_) {
-      if (ev.payload >= n_) {
-        newly_ready_.push_back(static_cast<graph::TaskId>(ev.payload - n_));
-        continue;
-      }
-      const auto task = static_cast<graph::TaskId>(ev.payload);
-      const int alloc = result_.allocation[static_cast<std::size_t>(task)];
-      if constexpr (Hooks::kRecordTrace) result_.trace.record_end(task, now);
-      hooks.release(task, alloc);
-      if (!hooks.on_end(task, now, alloc, waiting_)) {
-        retries_.push_back(task);
-        continue;
-      }
-      ++completed_;
-      if constexpr (Hooks::kReleaseSuccessors)
-        for (const graph::TaskId s : setup_.graph.successors(task))
-          if (--pending_preds_[static_cast<std::size_t>(s)] == 0)
-            newly_ready_.push_back(s);
+  newly_ready_.clear();
+  retries_.clear();
+  for (const sim::Event& ev : batch_) {
+    if (ev.payload >= n_) {
+      newly_ready_.push_back(static_cast<graph::TaskId>(ev.payload - n_));
+      continue;
     }
-    hooks.after_batch(now, newly_ready_);
-    // Failed attempts keep their allocation and re-enter the queue first
-    // (they are older work); then simultaneously available tasks are
-    // revealed in id order: deterministic, and it realizes the
-    // adversarial instances' worst-case queueing.
-    for (const graph::TaskId task : retries_)
-      enqueue<Hooks>(task, result_.allocation[static_cast<std::size_t>(task)]);
-    std::sort(newly_ready_.begin(), newly_ready_.end());
-    for (const graph::TaskId v : newly_ready_) reveal(hooks, v, now);
+    const auto task = static_cast<graph::TaskId>(ev.payload);
+    const int alloc = result_.allocation[static_cast<std::size_t>(task)];
+    if constexpr (Hooks::kRecordTrace) result_.trace.record_end(task, now);
+    hooks.release(task, alloc);
+    if (!hooks.on_end(task, now, alloc, waiting_)) {
+      retries_.push_back(task);
+      continue;
+    }
+    ++completed_;
+    if constexpr (Hooks::kReleaseSuccessors)
+      for (const graph::TaskId s : hooks.successors(setup_.graph, task))
+        if (--pending_preds_[static_cast<std::size_t>(s)] == 0)
+          newly_ready_.push_back(s);
+  }
+  hooks.after_batch(now, newly_ready_);
+  // Failed attempts keep their allocation and re-enter the queue first
+  // (they are older work); then simultaneously available tasks are
+  // revealed in id order: deterministic, and it realizes the
+  // adversarial instances' worst-case queueing.
+  for (const graph::TaskId task : retries_)
+    enqueue<Hooks>(task, result_.allocation[static_cast<std::size_t>(task)]);
+  std::sort(newly_ready_.begin(), newly_ready_.end());
+  for (const graph::TaskId v : newly_ready_) reveal(hooks, v, now);
 
-    scan(hooks, now);
+  scan(hooks, now);
+}
+
+template <class Hooks>
+void ListEngine::finish() {
+  check_finished();
+  // Every end is recorded at its batch's instant and batches come in
+  // time order, so the last batch's instant is the latest end.
+  if constexpr (Hooks::kRecordTrace) result_.makespan = events_.now();
+}
+
+template <class Hooks>
+ScheduleResult ListEngine::run(Hooks& hooks) {
+  begin(hooks);
+  while (!events_.empty()) step(hooks);
+  finish<Hooks>();
+  return std::move(result_);
+}
+
+template <class Hooks>
+void ListEngine::checkpoint(Hooks& hooks) {
+  static_assert(kFirstFit<Hooks>, "checkpoints store the bucketed queue");
+  const std::size_t batches = ++batches_since_checkpoint_;
+  if (batches < kCheckpointSpacing ||
+      events_.size() + waiting_ > kCheckpointSpacing * batches)
+    return;
+  batches_since_checkpoint_ = 0;
+  const auto pending = events_.pending();
+  ladder_events_.insert(ladder_events_.end(), pending.begin(), pending.end());
+  for (const WaitingEntry& head : heads_)
+    for (int i = buckets_[static_cast<std::size_t>(head.alloc)].first; i >= 0;
+         i = node(i).next)
+      ladder_waiting_.push_back(node(i).entry);
+  ladder_.push_back({events_.next_time(), ladder_events_.size(),
+                     ladder_waiting_.size(), events_.next_seq(),
+                     events_.now(), hooks.available(), completed_,
+                     reveal_seq_, result_.num_events,
+                     result_.trace.num_records()});
+}
+
+template <class Hooks>
+void ListEngine::unrelease(Hooks& hooks, graph::TaskId task) {
+  for (const graph::TaskId s : hooks.successors(setup_.graph, task))
+    if (pending_preds_[static_cast<std::size_t>(s)]++ == 0)
+      result_.ready_time[static_cast<std::size_t>(s)] = -1.0;
+}
+
+template <class Hooks>
+void ListEngine::rewind(Hooks& hooks, std::size_t keep) {
+  const Checkpoint* c = keep > 0 ? &ladder_[keep - 1] : nullptr;
+  const std::size_t events_begin = keep > 1 ? ladder_[keep - 2].events_end : 0;
+  const std::size_t waiting_begin =
+      keep > 1 ? ladder_[keep - 2].waiting_end : 0;
+  const std::span<const sim::Event> pending(
+      ladder_events_.data() + events_begin,
+      c != nullptr ? c->events_end - events_begin : 0);
+
+  // Every task that completed after the checkpoint either started after
+  // it (its record goes) or was running at it (its record reopens).
+  // Each completion's release of its successors is undone; a successor
+  // whose count leaves 0 was revealed after the checkpoint.
+  sim::Trace& trace = result_.trace;
+  const std::size_t trace_size = c != nullptr ? c->trace_size : 0;
+  for (std::size_t i = trace_size; i < trace.num_records(); ++i)
+    unrelease(hooks, trace.record(i).task);
+  trace.truncate(trace_size);
+  for (const sim::Event& ev : pending) {
+    const auto task = static_cast<graph::TaskId>(ev.payload);
+    trace.reopen(task);
+    unrelease(hooks, task);
   }
 
-  check_finished();
-  if constexpr (Hooks::kRecordTrace)
-    result_.makespan = result_.trace.makespan();
-  return std::move(result_);
+  events_.restore(pending, c != nullptr ? c->event_seq : 0,
+                  c != nullptr ? c->now : 0.0);
+  for (Bucket& b : buckets_) b = {};
+  nodes_.clear();
+  free_ = -1;
+  heads_.clear();
+  waiting_ = 0;
+  if (c != nullptr) {
+    for (std::size_t i = waiting_begin; i < c->waiting_end; ++i) {
+      push_bucket(ladder_waiting_[i]);
+      ++waiting_;
+    }
+  }
+  hooks.rewind(c != nullptr ? c->available : setup_.P);
+  completed_ = c != nullptr ? c->completed : 0;
+  reveal_seq_ = c != nullptr ? c->reveal_seq : 0;
+  result_.num_events = c != nullptr ? c->num_events : 0;
+
+  ladder_events_.resize(c != nullptr ? c->events_end : 0);
+  ladder_waiting_.resize(c != nullptr ? c->waiting_end : 0);
+  ladder_.resize(keep);
+  batches_since_checkpoint_ = 0;
+}
+
+template <class Hooks>
+ListEngine::Rerun ListEngine::rerun_from(Hooks& hooks, double time) {
+  static_assert(Hooks::kCheckpoint, "rerun_from needs checkpointing hooks");
+  // The latest checkpoint strictly before `time`: every batch before it
+  // came earlier still, so none of them saw the change.
+  const auto later = std::lower_bound(
+      ladder_.begin(), ladder_.end(), time,
+      [](const Checkpoint& c, double t) { return c.time < t; });
+  const auto keep = static_cast<std::size_t>(later - ladder_.begin());
+  rewind(hooks, keep);
+  if (keep == 0) begin(hooks);
+  const std::uint64_t skipped = result_.num_events;
+  while (!events_.empty()) step(hooks);
+  finish<Hooks>();
+  return {keep > 0, result_.num_events - skipped};
 }
 
 }  // namespace moldsched::core

@@ -43,6 +43,13 @@ void EventQueue::schedule(Time time, std::int64_t payload) {
     observer_->on_event_scheduled(now_, time, payload, heap_.size());
 }
 
+void EventQueue::restore(std::span<const Event> pending,
+                         std::uint64_t next_seq, Time now) {
+  heap_.assign(pending.begin(), pending.end());
+  next_seq_ = next_seq;
+  now_ = now;
+}
+
 Time EventQueue::next_time() const {
   if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
   return heap_.front().time;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "moldsched/obs/observer.hpp"
@@ -56,6 +57,18 @@ class EventQueue {
 
   /// Current simulation time: the time of the last popped event.
   [[nodiscard]] Time now() const noexcept { return now_; }
+
+  /// The pending events, in heap order: with next_seq() and now(), the
+  /// whole state restore() returns to.
+  [[nodiscard]] std::span<const Event> pending() const noexcept {
+    return heap_;
+  }
+  /// Insertion sequence number of the next schedule().
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
+  /// Returns to a state read earlier from pending(), next_seq() and
+  /// now(). The observer stays attached.
+  void restore(std::span<const Event> pending, std::uint64_t next_seq,
+               Time now);
 
   /// Attaches an instrumentation observer (nullptr detaches; the
   /// default). The observer sees every insertion

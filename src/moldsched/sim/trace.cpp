@@ -16,14 +16,13 @@ void Trace::record_start(int task, Time start, int procs) {
   if (!std::isfinite(start) || start < 0.0)
     throw std::invalid_argument("Trace::record_start: bad start time");
   const auto idx = static_cast<std::size_t>(task);
-  if (idx >= open_index_of_task_.size())
-    open_index_of_task_.resize(idx + 1, -1);
-  if (open_index_of_task_[idx] != -1)
+  if (idx >= record_of_task_.size()) record_of_task_.resize(idx + 1, -1);
+  if (record_of_task_[idx] != -1)
     throw std::logic_error("Trace::record_start: task " +
                            std::to_string(task) +
                            " started twice (tasks are non-preemptive and "
                            "run exactly once)");
-  open_index_of_task_[idx] = static_cast<std::int64_t>(records_.size());
+  record_of_task_[idx] = static_cast<std::int64_t>(records_.size());
   records_.push_back(TaskRecord{task, start,
                                 std::numeric_limits<Time>::quiet_NaN(),
                                 procs});
@@ -31,26 +30,40 @@ void Trace::record_start(int task, Time start, int procs) {
 }
 
 void Trace::record_end(int task, Time end) {
-  if (task < 0 ||
-      static_cast<std::size_t>(task) >= open_index_of_task_.size())
+  if (find(task) == nullptr)
     throw std::logic_error("Trace::record_end: task " + std::to_string(task) +
                            " was never started");
-  const auto idx = static_cast<std::size_t>(task);
-  const std::int64_t rec = open_index_of_task_[idx];
-  if (rec < 0)
-    throw std::logic_error("Trace::record_end: task " + std::to_string(task) +
-                           " is not running");
-  TaskRecord& r = records_[static_cast<std::size_t>(rec)];
+  TaskRecord& r = records_[index_of(task)];
   if (!std::isnan(r.end))
     throw std::logic_error("Trace::record_end: task already ended");
   if (!std::isfinite(end) || end < r.start)
     throw std::invalid_argument("Trace::record_end: end before start");
   r.end = end;
-  open_index_of_task_[idx] = -1;
-  // Keep the index entry so double-starts stay detectable: mark as closed
-  // with a sentinel distinct from "never started".
-  open_index_of_task_[idx] = std::numeric_limits<std::int64_t>::min();
   --open_count_;
+}
+
+const TaskRecord* Trace::find(int task) const noexcept {
+  if (task < 0 || static_cast<std::size_t>(task) >= record_of_task_.size() ||
+      record_of_task_[static_cast<std::size_t>(task)] < 0)
+    return nullptr;
+  return &records_[index_of(task)];
+}
+
+void Trace::truncate(std::size_t size) {
+  for (std::size_t i = size; i < records_.size(); ++i) {
+    record_of_task_[static_cast<std::size_t>(records_[i].task)] = -1;
+    if (std::isnan(records_[i].end)) --open_count_;
+  }
+  records_.resize(std::min(size, records_.size()));
+}
+
+void Trace::reopen(int task) {
+  const TaskRecord* r = find(task);
+  if (r == nullptr || std::isnan(r->end))
+    throw std::logic_error("Trace::reopen: task " + std::to_string(task) +
+                           " has not ended");
+  records_[index_of(task)].end = std::numeric_limits<Time>::quiet_NaN();
+  ++open_count_;
 }
 
 void Trace::ensure_complete() const {

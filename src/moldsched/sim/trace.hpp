@@ -38,6 +38,20 @@ class Trace {
   [[nodiscard]] std::size_t num_records() const noexcept {
     return records_.size();
   }
+  /// Record i in start order, running or ended.
+  [[nodiscard]] const TaskRecord& record(std::size_t i) const {
+    return records_[i];
+  }
+  /// The task's record, running or ended; nullptr if it never started.
+  [[nodiscard]] const TaskRecord* find(int task) const noexcept;
+
+  /// Rolls the trace back to an earlier moment of the same schedule:
+  /// drops every record from index `size` on (the tasks started since),
+  /// so those tasks may start again.
+  void truncate(std::size_t size);
+  /// Marks an ended task as running again (it ended after the moment
+  /// truncate() rolled back to).
+  void reopen(int task);
   /// All records in start order (ties by insertion). Throws
   /// std::logic_error if any task is still running.
   [[nodiscard]] const std::vector<TaskRecord>& records() const;
@@ -69,9 +83,14 @@ class Trace {
 
  private:
   void ensure_complete() const;
+  /// Index of a started task's record.
+  [[nodiscard]] std::size_t index_of(int task) const {
+    return static_cast<std::size_t>(
+        record_of_task_[static_cast<std::size_t>(task)]);
+  }
 
   std::vector<TaskRecord> records_;
-  std::vector<std::int64_t> open_index_of_task_;  // -1 = none
+  std::vector<std::int64_t> record_of_task_;  // -1 = never started
   std::size_t open_count_ = 0;
 };
 

@@ -139,8 +139,8 @@ struct ReleaseReply {
 
 struct SessionStats {
   std::uint64_t releases = 0;
-  std::uint64_t reschedules = 0;  ///< prefix simulations run
-  double schedule_ms = 0.0;       ///< total time spent in spec.run
+  std::uint64_t reschedules = 0;  ///< simulations run, full or resumed
+  double schedule_ms = 0.0;       ///< total time spent simulating
 };
 
 struct CloseReply {

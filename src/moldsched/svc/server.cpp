@@ -87,6 +87,7 @@ Server::Server(ServerLimits limits, ServerTelemetry telemetry,
           "svc.phase.serialize_ms", obs::Histogram::default_latency_bounds())),
       m_phase_write_ms_(registry.histogram(
           "svc.phase.write_ms", obs::Histogram::default_latency_bounds())),
+      m_session_(registry),
       epoch_(Clock::now()) {
   if (limits_.max_sessions < 1 || limits_.max_in_flight < 1 ||
       limits_.max_tasks_per_session < 1)
@@ -533,7 +534,7 @@ std::string Server::handle_open(const Request& req, obs::RequestSpan* span) {
     id = "s" + std::to_string(++next_session_);
   }
   // Construct outside the map lock: spec_by_name walks the registry.
-  auto entry = std::make_shared<SessionEntry>(Session(id, req.open));
+  auto entry = std::make_shared<SessionEntry>(id, req.open, m_session_);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.emplace(id, std::move(entry));

@@ -160,7 +160,9 @@ class Server {
   };
 
   struct SessionEntry {
-    explicit SessionEntry(Session s) : session(std::move(s)) {}
+    SessionEntry(std::string id, const OpenParams& params,
+                 const SessionMetrics& metrics)
+        : session(std::move(id), params, &metrics) {}
     std::mutex mu;
     Session session;  // guarded by mu
   };
@@ -217,6 +219,7 @@ class Server {
   obs::Histogram& m_phase_schedule_ms_;
   obs::Histogram& m_phase_serialize_ms_;
   obs::Histogram& m_phase_write_ms_;
+  SessionMetrics m_session_;
 
   std::unique_ptr<FlightRecorder> flight_;
   std::chrono::steady_clock::time_point epoch_;  // set in the ctor

@@ -17,6 +17,12 @@
 // on every release. Any change to a reply, to the close schedule or to
 // the simulation count shows up as a hash diff.
 //
+// SessionPrefixDifferential checks the same streams release by release:
+// every reply must equal an in-process SchedulerSpec::run on that
+// prefix. That costs a full run per release, so it lives here and not
+// in check::wire_roundtrip_check, which selfcheck runs on every
+// instance.
+//
 // Regenerate (only when a reply is meant to change) with:
 //   MOLDSCHED_PRINT_GOLDENS=1 ./moldsched_svc_tests
 //     --gtest_filter='SessionReleasePinTest.*'
@@ -175,18 +181,6 @@ ReleaseParams release_of(const graph::TaskGraph& g, graph::TaskId v) {
   return params;
 }
 
-core::ScheduleResult result_from_close(const CloseReply& reply) {
-  core::ScheduleResult out;
-  for (const auto& rec : reply.records) {
-    out.trace.record_start(rec.task, rec.start, rec.procs);
-    out.trace.record_end(rec.task, rec.end);
-  }
-  out.makespan = reply.makespan;
-  out.allocation = reply.allocation;
-  out.num_events = reply.num_events;
-  return out;
-}
-
 /// Streams every stream through one session each and hashes the replies.
 std::uint64_t stream_hash(const std::string& scheduler,
                           core::QueuePolicy policy) {
@@ -206,7 +200,7 @@ std::uint64_t stream_hash(const std::string& scheduler,
               hex(r.projected_makespan) + '\n');
     }
     const CloseReply closed = session.close();
-    fnv.add(check::canonical_schedule(result_from_close(closed)));
+    fnv.add(check::canonical_schedule(check::result_from_close(closed)));
     fnv.add("events=" + std::to_string(closed.num_events) +
             " reschedules=" + std::to_string(closed.stats.reschedules) + '\n');
   }
@@ -325,6 +319,76 @@ TEST(SessionReleasePinTest, EngineVariants) {
   expect_pins({{"level-lpa", stream_hash("level-lpa", core::QueuePolicy::kFifo)},
                {"contiguous-lpa",
                 stream_hash("contiguous-lpa", core::QueuePolicy::kFifo)}});
+}
+
+/// Streams every stream and checks each release reply, and the close
+/// reply, against an in-process run of the spec on the same prefix.
+void expect_prefix_runs(const std::string& scheduler,
+                        core::QueuePolicy policy) {
+  sched::SchedulerSpec spec = sched::spec_by_name(scheduler, kMu);
+  spec.policy = policy;
+  const std::string config = scheduler + "/" + core::to_string(policy);
+  for (const Stream& s : streams()) {
+    OpenParams open;
+    open.scheduler = scheduler;
+    open.P = s.P;
+    open.mu = kMu;
+    open.policy = policy;
+    Session session(s.name, open);
+    graph::TaskGraph prefix;
+    core::ScheduleResult ref;
+    for (graph::TaskId v = 0; v < s.graph.num_tasks(); ++v) {
+      const ReleaseReply r = session.release(release_of(s.graph, v));
+      prefix.add_task(s.graph.model_ptr(v), s.graph.name(v));
+      for (const graph::TaskId u : s.graph.predecessors(v))
+        prefix.add_edge(u, v);
+      ref = spec.run(prefix, s.P);
+      const auto t = static_cast<std::size_t>(v);
+      const sim::TaskRecord* rec = ref.trace.find(v);
+      ASSERT_NE(rec, nullptr);
+      if (r.task != v || r.alloc != ref.allocation[t] ||
+          r.ready != ref.ready_time[t] || r.start != rec->start ||
+          r.end != rec->end || r.projected_makespan != ref.makespan) {
+        ADD_FAILURE() << config << " " << s.name << ": release " << v
+                      << " replied alloc " << r.alloc << " ready "
+                      << hex(r.ready) << " start " << hex(r.start) << " end "
+                      << hex(r.end) << " makespan "
+                      << hex(r.projected_makespan) << "; the prefix run has "
+                      << ref.allocation[t] << " " << hex(ref.ready_time[t])
+                      << " " << hex(rec->start) << " " << hex(rec->end) << " "
+                      << hex(ref.makespan);
+        return;
+      }
+    }
+    const CloseReply closed = session.close();
+    EXPECT_EQ(check::canonical_schedule(check::result_from_close(closed)),
+              check::canonical_schedule(ref))
+        << config << " " << s.name;
+  }
+}
+
+void expect_prefix_runs(const std::string& scheduler) {
+  for (const core::QueuePolicy policy : kPolicies)
+    expect_prefix_runs(scheduler, policy);
+}
+
+TEST(SessionPrefixDifferential, Lpa) { expect_prefix_runs("lpa"); }
+TEST(SessionPrefixDifferential, ImprovedLpa) {
+  expect_prefix_runs("improved-lpa");
+}
+TEST(SessionPrefixDifferential, MinTime) { expect_prefix_runs("min-time"); }
+TEST(SessionPrefixDifferential, Sequential) {
+  expect_prefix_runs("sequential");
+}
+TEST(SessionPrefixDifferential, CappedMinTime) {
+  expect_prefix_runs("capped-min-time");
+}
+TEST(SessionPrefixDifferential, UncappedLpa) {
+  expect_prefix_runs("uncapped-lpa");
+}
+TEST(SessionPrefixDifferential, SqrtP) { expect_prefix_runs("sqrt-p"); }
+TEST(SessionPrefixDifferential, Fraction) {
+  expect_prefix_runs("fraction-1/4");
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "moldsched/check/differential.hpp"
+#include "moldsched/check/wire_check.hpp"
 #include "moldsched/graph/adversary.hpp"
+#include "moldsched/graph/generators.hpp"
 #include "moldsched/graph/workflows.hpp"
+#include "moldsched/model/sampler.hpp"
 #include "moldsched/model/special_models.hpp"
 #include "moldsched/sched/registry.hpp"
+#include "moldsched/util/rng.hpp"
 
 namespace {
 
@@ -157,6 +161,78 @@ TEST(Session, RejectsUnreleasedAndDuplicatePredecessors) {
   svc::ReleaseParams good = t0;
   good.preds = {0};
   EXPECT_TRUE(session.release(good).ok);
+}
+
+void expect_bad_request(svc::Session& session,
+                        const svc::ReleaseParams& params, const char* what) {
+  try {
+    (void)session.release(params);
+    ADD_FAILURE() << what << ": expected SessionError";
+  } catch (const svc::SessionError& e) {
+    EXPECT_EQ(e.code(), svc::ErrorCode::kBadRequest) << what;
+  }
+}
+
+TEST(Session, RejectedReleasesLeaveTheLiveEngineUntouched) {
+  constexpr int P = 24;
+  util::Rng rng(5);
+  const model::ModelSampler sampler(model::ModelKind::kGeneral);
+  const graph::TaskGraph g = check::relabel_topological(graph::layered_uniform(
+      8, 20, 2, 9, graph::sampling_provider(sampler, rng, P)));
+  svc::OpenParams open;
+  open.P = P;
+  open.policy = core::QueuePolicy::kLargestWorkFirst;
+  svc::Session session("rejects", open);
+  sched::SchedulerSpec spec = sched::spec_by_name("lpa", open.mu);
+  spec.policy = open.policy;
+
+  graph::TaskGraph prefix;
+  core::ScheduleResult ref;
+  int rejected_rounds = 0;
+  for (graph::TaskId v = 0; v < g.num_tasks(); ++v) {
+    const svc::ReleaseParams good = release_of(g, v);
+    if (v % 23 == 7) {
+      // Every kind of rejection, mid-stream, before the valid release.
+      ++rejected_rounds;
+      svc::ReleaseParams bad = good;
+      bad.expected_task = v - 1;
+      expect_bad_request(session, bad, "duplicate");
+      bad.expected_task = v + 1;
+      expect_bad_request(session, bad, "out of order");
+      bad = good;
+      bad.preds.push_back(v + 2);
+      expect_bad_request(session, bad, "unreleased predecessor");
+      bad = good;
+      bad.preds.push_back(v - 1);
+      bad.preds.push_back(v - 1);
+      expect_bad_request(session, bad, "duplicate predecessor");
+      bad = good;
+      bad.model = nullptr;
+      expect_bad_request(session, bad, "missing model");
+      ASSERT_EQ(session.num_tasks(), v);
+    }
+    const svc::ReleaseReply r = session.release(good);
+    prefix.add_task(g.model_ptr(v), g.name(v));
+    for (const graph::TaskId u : g.predecessors(v)) prefix.add_edge(u, v);
+    ref = spec.run(prefix, P);
+    const auto t = static_cast<std::size_t>(v);
+    const sim::TaskRecord* rec = ref.trace.find(v);
+    ASSERT_NE(rec, nullptr);
+    ASSERT_EQ(r.task, v);
+    ASSERT_EQ(r.alloc, ref.allocation[t]) << "task " << v;
+    ASSERT_EQ(r.ready, ref.ready_time[t]) << "task " << v;
+    ASSERT_EQ(r.start, rec->start) << "task " << v;
+    ASSERT_EQ(r.end, rec->end) << "task " << v;
+    ASSERT_EQ(r.projected_makespan, ref.makespan) << "task " << v;
+  }
+  EXPECT_GE(rejected_rounds, 6);
+  const svc::CloseReply closed = session.close();
+  ASSERT_TRUE(closed.ok);
+  EXPECT_EQ(check::canonical_schedule(check::result_from_close(closed)),
+            check::canonical_schedule(ref));
+  EXPECT_EQ(closed.stats.releases, static_cast<std::uint64_t>(g.num_tasks()));
+  EXPECT_EQ(closed.stats.reschedules,
+            static_cast<std::uint64_t>(g.num_tasks()));
 }
 
 TEST(Session, MissingModelIsRejected) {

@@ -3,18 +3,24 @@
 // the Chrome trace validates with per-session lanes and nested phase
 // spans, the flight recorder retains the requests with the trace_id and
 // internally-consistent phase timings, and the svc.phase.* histograms
-// fill in. Uses a private MetricRegistry so concurrently-running tests
-// sharing default_registry() cannot perturb the counts.
+// fill in; and the svc.session.* instruments show at /metrics how each
+// release was simulated. Uses a private MetricRegistry so
+// concurrently-running tests sharing default_registry() cannot perturb
+// the counts.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "moldsched/check/wire_check.hpp"
 #include "moldsched/engine/executor.hpp"
 #include "moldsched/graph/adversary.hpp"
+#include "moldsched/graph/generators.hpp"
+#include "moldsched/model/sampler.hpp"
 #include "moldsched/obs/metrics.hpp"
 #include "moldsched/obs/span.hpp"
 #include "moldsched/obs/trace_writer.hpp"
+#include "moldsched/svc/admin.hpp"
 #include "moldsched/svc/client.hpp"
 #include "moldsched/svc/server.hpp"
 
@@ -129,6 +135,67 @@ TEST(ServiceTelemetry, EndToEndSessionFeedsEverySink) {
                                 registry.histogram("svc.phase.write_ms").mean();
   EXPECT_LE(mean_phases_ms,
             registry.histogram("svc.request.latency_ms").mean() * 1.0000001);
+}
+
+TEST(ServiceTelemetry, LayeredStreamMostlyResumesAndShowsAtMetrics) {
+  constexpr int kP = 48;
+  constexpr int kWidth = 20;
+  constexpr int kLayers = 30;
+  util::Rng rng(7);
+  const model::ModelSampler sampler(model::ModelKind::kGeneral);
+  const graph::TaskGraph g = check::relabel_topological(graph::layered_uniform(
+      kLayers, kWidth, 2, 11, graph::sampling_provider(sampler, rng, kP)));
+  const auto n = static_cast<std::uint64_t>(g.num_tasks());
+
+  engine::Executor executor(2);
+  obs::MetricRegistry registry;
+  svc::Server server({}, executor, registry);  // unarmed
+  const int port = server.listen();
+  svc::OpenParams open;
+  open.P = kP;
+  svc::Client client;
+  client.connect("127.0.0.1", port);
+  const svc::OpenReply opened = client.open(open);
+  ASSERT_TRUE(opened.ok) << opened.error.message;
+  for (graph::TaskId v = 0; v < g.num_tasks(); ++v)
+    ASSERT_TRUE(client.release(opened.session, release_of(g, v)).ok);
+  ASSERT_TRUE(client.close_session(opened.session).ok);
+  client.disconnect();
+  server.stop();
+  server.wait();
+
+  // One simulation per release: the first layer's sources replay from
+  // the start, and most later releases resume from a checkpoint.
+  const std::uint64_t resumed = registry.counter("svc.session.resumed").value();
+  const std::uint64_t full = registry.counter("svc.session.full_reruns").value();
+  EXPECT_EQ(resumed + full, n);
+  EXPECT_GE(full, static_cast<std::uint64_t>(kWidth));
+  EXPECT_GT(resumed, 3 * full) << "resumed " << resumed << ", full " << full;
+  // A resume replays a suffix: far fewer events than re-running every
+  // prefix, which simulates n (n + 1) / 2 completions.
+  const std::uint64_t replayed =
+      registry.counter("svc.session.replayed_events").value();
+  EXPECT_GE(replayed, n);
+  EXPECT_LT(replayed, n * (n + 1) / 2 / 4) << "replayed " << replayed;
+  // Each release lands in the bucket of its session size.
+  EXPECT_EQ(registry.histogram("svc.session.release_ms.le100").count(), 100u);
+  EXPECT_EQ(registry.histogram("svc.session.release_ms.le1000").count(),
+            n - 100);
+  EXPECT_EQ(registry.histogram("svc.session.release_ms.le4000").count(), 0u);
+
+  svc::AdminServer admin(registry);
+  std::string text, content_type;
+  ASSERT_TRUE(admin.route("/metrics", text, content_type));
+  for (const char* name :
+       {"svc_session_resumed_total ", "svc_session_full_reruns_total ",
+        "svc_session_replayed_events_total ",
+        "svc_session_release_ms_le100_count ",
+        "svc_session_release_ms_le1000_count ",
+        "svc_session_release_ms_le4000_count ",
+        "svc_session_release_ms_gt4000_count "})
+    EXPECT_NE(text.find(name), std::string::npos) << name;
+  EXPECT_NE(text.find("svc_session_resumed_total " + std::to_string(resumed)),
+            std::string::npos);
 }
 
 TEST(ServiceTelemetry, UnarmedServerProducesNoSpansOrPhaseCounts) {
